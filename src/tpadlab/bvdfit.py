@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import BvdParams, impedance, resonant_frequency
+from .dataio import _read_csv_table
 from .errors import (
     FitNotConverged,
     InvalidProperty,
@@ -346,35 +347,24 @@ def generate_spectrum(
 def load_impedance_csv(path) -> ImpedanceSpectrum:
     """Read a spectrum CSV with header ``frequency_hz,magnitude_ohm,phase_deg``.
 
-    Rows may be in any frequency order; phase is in degrees.
+    Rows may be in any frequency order; phase is in degrees.  Cells are
+    read as Python's ``float`` reads them; blank lines are skipped.
 
     Raises:
         MalformedSpectrumFile: unreadable file, wrong header, ragged or
             non-numeric rows, or non-positive magnitude.
         InvalidProperty: parsed values violate spectrum invariants.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise MalformedSpectrumFile(f"cannot read spectrum file {path}: {exc}") from exc
-    if not rows or tuple(cell.strip() for cell in rows[0]) != SPECTRUM_CSV_HEADER:
-        raise MalformedSpectrumFile(
-            f"{path}: first row must be the header {','.join(SPECTRUM_CSV_HEADER)}"
-        )
-    points = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise MalformedSpectrumFile(f"{path}: line {lineno} has {len(row)} fields, expected 3")
-        try:
-            freq, mag, phase_deg = (float(cell) for cell in row)
-        except ValueError as exc:
-            raise MalformedSpectrumFile(f"{path}: line {lineno} is not numeric: {row}") from exc
-        if not mag > 0:
-            raise MalformedSpectrumFile(f"{path}: line {lineno} magnitude must be positive")
-        points.append((freq, mag * cmath.exp(1j * math.radians(phase_deg))))
-    return ImpedanceSpectrum.from_points(points)
+
+    def check_header(header):
+        if header != SPECTRUM_CSV_HEADER:
+            raise MalformedSpectrumFile(
+                f"{path}: first row must be the header {','.join(SPECTRUM_CSV_HEADER)}"
+            )
+
+    values = _read_csv_table(path, check_header, MalformedSpectrumFile, "spectrum", positive=(1, "magnitude"))
+    freq, mag, phase_deg = values[np.argsort(values[:, 0], kind="stable")].T
+    return ImpedanceSpectrum(frequencies=freq, impedances=mag * np.exp(1j * np.radians(phase_deg)))
 
 
 def save_impedance_csv(spectrum: ImpedanceSpectrum, handle) -> None:

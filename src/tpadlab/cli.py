@@ -336,7 +336,7 @@ def _cmd_reduce_traces(args, parser) -> list[str]:
             row = f"{path},0,0,,0,"
         else:
             frequency = dataio.detect_drive_frequency(traces)
-            power = dataio.real_power_from_traces(traces, args.shunt)
+            power = dataio.real_power_from_traces(traces, args.shunt, frequency)
             rms_current = float(np.sqrt(np.mean(traces.v_shunt**2))) / args.shunt
             row = f"{path},{_fmt(frequency)},{_fmt(power)},,{_fmt(rms_current)},"
         lines.append(row)

@@ -17,7 +17,10 @@ projection of the LDV channel at the drive frequency.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +80,9 @@ class TimeTraces:
             raise InvalidProperty("trace channels must be 1-d series")
         if len({s.size for s in series}) != 1:
             raise InvalidProperty("trace channels must have equal length")
+        for name, s in zip(("v_piezo", "v_shunt", "ldv"), series):
+            if not np.all(np.isfinite(s)):
+                raise InvalidProperty(f"trace channel {name} holds non-finite samples")
         min_len = int(np.ceil(MIN_PERIODS * self.sample_rate / EXPECTED_DRIVE_BAND_HZ[0]))
         if v_piezo.size < min_len:
             raise InsufficientSamples(
@@ -144,51 +150,88 @@ class TrialSummary:
             raise InvalidProperty(f"amplitude must be >= 0, got {self.amplitude!r}")
 
 
+def _scan_rows(handle, width: int) -> tuple[list[list[float]], str | None]:
+    """Convert the rows after the header one by one, up to the first faulty one.
+
+    Returns the rows converted and that row's fault, or None.  Rows are
+    numbered among the non-blank rows, the header being row 1.
+    """
+    handle.seek(0)
+    rows = enumerate(filter(None, csv.reader(handle)), start=1)
+    next(rows)
+    values = []
+    for lineno, row in rows:
+        if len(row) != width:
+            return values, f"line {lineno} has {len(row)} fields, expected {width}"
+        try:
+            values.append([float(cell) for cell in row])
+        except ValueError:
+            return values, f"line {lineno} is not numeric: {row}"
+    return values, None
+
+
+def _read_csv_table(path, check_header, error, noun: str, positive=None) -> np.ndarray:
+    """The rows of a CSV file with one header row, as a (rows, columns) float array.
+
+    ``check_header`` gets the stripped header cells (none for an empty
+    file) and raises if they are wrong.  Blank lines are skipped; every
+    other row holds one number per column, as ``float`` reads it.  The
+    optional ``positive = (column, label)`` names a column that must be > 0.
+    ``np.loadtxt`` converts the rows in bulk; where it fails, or would
+    read a cell otherwise than ``float``, :func:`_scan_rows` takes over.
+    """
+    try:
+        with open(path, "rb") as file:
+            raw = file.read()
+    except OSError as exc:
+        raise error(f"cannot read {noun} file {path}: {exc}") from exc
+    handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    header = tuple(cell.strip() for cell in next(filter(None, csv.reader(handle)), ()))
+    check_header(header)
+    width, values, fault = len(header), None, None
+    # loadtxt warns on a body without data, so it never gets one
+    first = next((line for line in handle if line.strip("\r\n")), None)
+    # loadtxt strips \x1c-\x1f like blanks, float rejects them
+    if first is not None and not any(c in raw for c in b"\x1c\x1d\x1e\x1f"):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments=None, ndmin=2)
+    if values is None or values.shape[1] != width:
+        rows, fault = _scan_rows(handle, width)
+        values = np.array(rows, dtype=float).reshape(-1, width)
+    if positive is not None:
+        bad = np.flatnonzero(~(values[:, positive[0]] > 0))
+        if bad.size:
+            raise error(f"{path}: line {bad[0] + 2} {positive[1]} must be positive")
+    if fault is not None:
+        raise error(f"{path}: {fault}")
+    return values
+
+
 def load_traces_csv(path, sample_rate: float, ldv_kind: str | None = None) -> TimeTraces:
     """Read a trial capture CSV with header ``v_piezo,v_shunt[,ldv]``.
 
     ``sample_rate`` is supplied by the caller (the file carries no
     timing).  ``ldv_kind`` must be given when the file has an ldv column.
+    Cells are numbers as Python's ``float`` reads them; blank lines are
+    skipped.
 
     Raises:
         MalformedTraceFile: unreadable, wrong header, ragged or
             non-numeric rows.
         InsufficientSamples: fewer rows than the minimum trace length.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise MalformedTraceFile(f"cannot read trace file {path}: {exc}") from exc
-    if not rows:
-        raise MalformedTraceFile(f"{path}: empty file")
-    header = tuple(cell.strip() for cell in rows[0])
-    if header not in (("v_piezo", "v_shunt"), ("v_piezo", "v_shunt", "ldv")):
-        raise MalformedTraceFile(
-            f"{path}: header must be v_piezo,v_shunt[,ldv], got {','.join(header)}"
-        )
-    has_ldv = len(header) == 3
-    if has_ldv and ldv_kind is None:
-        raise ValueError(f"{path} has an ldv column; pass ldv_kind explicitly")
-    columns: list[list[float]] = [[] for _ in header]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise MalformedTraceFile(
-                f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}"
-            )
-        try:
-            for column, cell in zip(columns, row):
-                column.append(float(cell))
-        except ValueError as exc:
-            raise MalformedTraceFile(f"{path}: line {lineno} is not numeric: {row}") from exc
-    return TimeTraces(
-        sample_rate=sample_rate,
-        v_piezo=np.array(columns[0]),
-        v_shunt=np.array(columns[1]),
-        ldv=np.array(columns[2]) if has_ldv else None,
-        ldv_kind=ldv_kind if has_ldv else None,
-    )
+
+    def check_header(header):
+        if not header:
+            raise MalformedTraceFile(f"{path}: empty file")
+        if header not in (("v_piezo", "v_shunt"), ("v_piezo", "v_shunt", "ldv")):
+            raise MalformedTraceFile(f"{path}: header must be v_piezo,v_shunt[,ldv], got {','.join(header)}")
+        if len(header) == 3 and ldv_kind is None:
+            raise ValueError(f"{path} has an ldv column; pass ldv_kind explicitly")
+
+    # a contiguous copy per channel: column views are strided
+    v_piezo, v_shunt, *ldv = _read_csv_table(path, check_header, MalformedTraceFile, "trace").T.copy()
+    return TimeTraces(sample_rate, v_piezo, v_shunt, ldv[0] if ldv else None, ldv_kind if ldv else None)
 
 
 def detect_drive_frequency(traces: TimeTraces) -> float:
@@ -223,27 +266,29 @@ def detect_drive_frequency(traces: TimeTraces) -> float:
 
 def _integer_period_length(n: int, sample_rate: float, frequency: float) -> int:
     """Largest sample count <= n covering a whole number of periods."""
+    if not frequency > 0:
+        raise InvalidProperty(f"drive_frequency must be positive, got {frequency!r}")
     periods = int(np.floor(n * frequency / sample_rate))
     if periods < 1:
         raise InsufficientSamples(f"trace covers less than one period of {frequency:.1f} Hz")
     return min(n, int(round(periods * sample_rate / frequency)))
 
 
-def _real_power(traces: TimeTraces, shunt_resistance: float, frequency: float) -> float:
-    m = _integer_period_length(len(traces), traces.sample_rate, frequency)
-    current = traces.v_shunt[:m] / shunt_resistance
-    return float(np.mean(traces.v_piezo[:m] * current))
-
-
-def real_power_from_traces(traces: TimeTraces, shunt_resistance: float) -> float:
+def real_power_from_traces(
+    traces: TimeTraces, shunt_resistance: float, drive_frequency: float | None = None
+) -> float:
     """Real power delivered to the device (W).
 
     i(t) = v_shunt(t) / R0; P is the mean of v_piezo * i over an integer
-    number of detected drive periods (trailing partial period dropped).
+    number of drive periods (trailing partial period dropped).  When
+    ``drive_frequency`` is omitted it is detected from v_piezo.
     """
     if not shunt_resistance > 0:
         raise InvalidProperty(f"shunt_resistance must be positive, got {shunt_resistance!r}")
-    return _real_power(traces, shunt_resistance, detect_drive_frequency(traces))
+    frequency = drive_frequency if drive_frequency is not None else detect_drive_frequency(traces)
+    m = _integer_period_length(len(traces), traces.sample_rate, frequency)
+    current = traces.v_shunt[:m] / shunt_resistance
+    return float(np.mean(traces.v_piezo[:m] * current))
 
 
 def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None) -> AmplitudeEstimate:
@@ -265,8 +310,6 @@ def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None)
     if traces.ldv is None:
         raise NoLdvChannel("traces have no ldv channel")
     frequency = drive_frequency if drive_frequency is not None else detect_drive_frequency(traces)
-    if not frequency > 0:
-        raise InvalidProperty(f"drive_frequency must be positive, got {frequency!r}")
     m = _integer_period_length(len(traces), traces.sample_rate, frequency)
     x = traces.ldv[:m] - np.mean(traces.ldv[:m])
     phase = np.exp(-2j * np.pi * frequency / traces.sample_rate * np.arange(m))
@@ -314,7 +357,7 @@ def summarize_trial(traces: TimeTraces, shunt_resistance: float) -> TrialSummary
     rms_current = float(np.sqrt(np.mean(traces.v_shunt**2))) / shunt_resistance
     return TrialSummary(
         drive_frequency=frequency,
-        real_power=_real_power(traces, shunt_resistance, frequency),
+        real_power=real_power_from_traces(traces, shunt_resistance, frequency),
         amplitude=estimate.amplitude,
         rms_current=rms_current,
         amplitude_low_confidence=estimate.low_confidence,

@@ -1,3 +1,5 @@
+import cmath
+import csv
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from tpadlab.errors import (
     InvalidProperty,
     MalformedSpectrumFile,
     NoResonanceFound,
+    TpadlabError,
 )
 
 C0 = 9.88e-9
@@ -221,6 +224,88 @@ def test_csv_rejects_bad_rows(tmp_path):
     text.write_text(header + "30000,five hundred,-80\n")
     with pytest.raises(MalformedSpectrumFile):
         bvdfit.load_impedance_csv(text)
+
+
+def _reference_load_impedance_csv(path):
+    """The line-scan reader that the bulk parser replaced, kept as the reference."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            rows = [row for row in reader if row]
+    except OSError as exc:
+        raise MalformedSpectrumFile(f"cannot read spectrum file {path}: {exc}") from exc
+    if not rows or tuple(cell.strip() for cell in rows[0]) != bvdfit.SPECTRUM_CSV_HEADER:
+        raise MalformedSpectrumFile(
+            f"{path}: first row must be the header {','.join(bvdfit.SPECTRUM_CSV_HEADER)}"
+        )
+    points = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise MalformedSpectrumFile(f"{path}: line {lineno} has {len(row)} fields, expected 3")
+        try:
+            freq, mag, phase_deg = (float(cell) for cell in row)
+        except ValueError as exc:
+            raise MalformedSpectrumFile(f"{path}: line {lineno} is not numeric: {row}") from exc
+        if not mag > 0:
+            raise MalformedSpectrumFile(f"{path}: line {lineno} magnitude must be positive")
+        points.append((freq, mag * cmath.exp(1j * math.radians(phase_deg))))
+    return bvdfit.ImpedanceSpectrum.from_points(points)
+
+
+def _spectrum_rows():
+    truth = params_for(30e3, 2150.0, 1e-9)
+    spectrum = bvdfit.generate_spectrum(truth, n_points=41, noise=0.02, seed=3)
+    return [
+        f"{f:.12g},{abs(z):.12g},{math.degrees(cmath.phase(z)):.12g}\n"
+        for f, z in zip(spectrum.frequencies, spectrum.impedances)
+    ]
+
+
+_ROWS = _spectrum_rows()
+_HEAD = "frequency_hz,magnitude_ohm,phase_deg\n"
+
+# each file is valid but for its named feature
+SPECTRUM_EDGE_FILES = {
+    "plain": _HEAD + "".join(_ROWS),
+    "unsorted frequencies": _HEAD + "".join(_ROWS[1::2] + _ROWS[::-2]),
+    "blank lines": "\n" + _HEAD + "\n" + "".join(_ROWS[:9]) + "\n\n" + "".join(_ROWS[9:]),
+    "whitespace-only line": _HEAD + "".join(_ROWS[:9]) + " \n" + "".join(_ROWS[9:]),
+    "comment line": _HEAD + "# analyzer export\n" + "".join(_ROWS),
+    "quoted cells": _HEAD + '"30000","500",-80\n' + "".join(_ROWS),
+    "underscore digits": _HEAD + "".join(_ROWS) + "31_000,500,-80\n",
+    "crlf": (_HEAD + "".join(_ROWS)).replace("\n", "\r\n"),
+    "trailing comma": _HEAD + "".join(_ROWS).replace("\n", ",\n"),
+    "more columns than header": _HEAD + "".join(_ROWS).replace("\n", ",0\n"),
+    "non-positive magnitude": _HEAD + "".join(_ROWS[:5]) + "30000,0,-80\n" + "".join(_ROWS[5:]),
+    "nan magnitude": _HEAD + "".join(_ROWS[:5]) + "30000,nan,-80\n" + "".join(_ROWS[5:]),
+    "negative magnitude before a text row": _HEAD + "".join(_ROWS[:5]) + "30000,-5,0\nx,1,2\n" + "".join(_ROWS[5:]),
+    "text row before a negative magnitude": _HEAD + "".join(_ROWS[:5]) + "x,1,2\n30000,-5,0\n" + "".join(_ROWS[5:]),
+    "duplicate frequency": _HEAD + "".join(_ROWS + _ROWS[:1]),
+    "single data row": _HEAD + _ROWS[0],
+    "header only": _HEAD,
+    "empty": "",
+    "wrong header": "freq,mag,phase\n" + "".join(_ROWS),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", SPECTRUM_EDGE_FILES.values(), ids=SPECTRUM_EDGE_FILES.keys())
+def test_spectrum_reader_matches_line_scan_reference(tmp_path, text):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for load in (_reference_load_impedance_csv, bvdfit.load_impedance_csv):
+        try:
+            outcomes.append(load(path))
+        except TpadlabError as exc:
+            outcomes.append(exc)
+    expected, loaded = outcomes
+    if isinstance(expected, Exception):
+        assert type(loaded) is type(expected)
+        assert str(loaded) == str(expected)
+        return
+    assert np.array_equal(loaded.frequencies, expected.frequencies)
+    assert np.array_equal(loaded.impedances, expected.impedances)
 
 
 def test_model_impedance_adds_series_shunt():

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from tpadlab import dataio
+
 FS = 300e3
 
 NOTE_PREFIX = "# model-conditional:"
@@ -474,6 +476,16 @@ def test_reduce_traces_without_ldv(run_cli, tmp_path):
     assert fields[5] == ""
 
 
+def test_reduce_traces_detects_the_tone_once_without_ldv(run_cli, tmp_path, monkeypatch):
+    detect, calls = dataio.detect_drive_frequency, []
+    monkeypatch.setattr(dataio, "detect_drive_frequency", lambda traces: calls.append(1) or detect(traces))
+    v_piezo, v_shunt, _ = _tone_columns(with_ldv=False)
+    path = _write_trace_csv(tmp_path / "noldv.csv", v_piezo, v_shunt)
+    code, _ = run_cli("reduce-traces", path, "--sample-rate", "300kHz")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_reduce_traces_silent_trial(run_cli, tmp_path):
     n = 30000
     path = _write_trace_csv(tmp_path / "silent.csv", np.zeros(n), np.zeros(n))
@@ -521,6 +533,16 @@ def test_reduce_traces_bad_file(run_cli, tmp_path):
     bad.write_text("time,volts\n0,0\n")
     code, _ = run_cli("reduce-traces", str(bad), "--sample-rate", "300kHz")
     assert code == 2
+
+
+def test_reduce_traces_non_finite_sample(run_cli, tmp_path):
+    v_piezo, v_shunt, ldv = _tone_columns()
+    v_shunt = v_shunt.copy()
+    v_shunt[100] = math.nan
+    path = _write_trace_csv(tmp_path / "nan.csv", v_piezo, v_shunt, ldv)
+    code, out = run_cli("reduce-traces", path, "--sample-rate", "300kHz")
+    assert code == 2
+    assert out == ""
 
 
 # --- repro --------------------------------------------------------------

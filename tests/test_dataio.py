@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from tpadlab.errors import (
     InvalidProperty,
     MalformedTraceFile,
     NoLdvChannel,
+    TpadlabError,
 )
 
 FS = 300e3
@@ -75,6 +77,15 @@ def test_traces_channels_are_read_only():
         traces.v_piezo[0] = 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("channel", ["v_piezo", "v_shunt", "ldv"])
+def test_traces_reject_non_finite_samples(channel, bad):
+    series = {name: np.zeros(100) for name in ("v_piezo", "v_shunt", "ldv")}
+    series[channel][17] = bad
+    with pytest.raises(InvalidProperty, match=f"channel {channel} holds non-finite samples"):
+        TimeTraces(FS, series["v_piezo"], series["v_shunt"], ldv=series["ldv"], ldv_kind="velocity")
+
+
 def _write_csv(path, columns, header):
     lines = [header]
     for row in zip(*columns):
@@ -129,6 +140,97 @@ def test_load_csv_rejects_bad_files(tmp_path):
     empty.write_text("")
     with pytest.raises(MalformedTraceFile):
         dataio.load_traces_csv(empty, FS)
+
+
+def _reference_load_traces_csv(path, sample_rate, ldv_kind=None):
+    """The line-scan reader that the bulk parser replaced, kept as the reference."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            rows = [row for row in reader if row]
+    except OSError as exc:
+        raise MalformedTraceFile(f"cannot read trace file {path}: {exc}") from exc
+    if not rows:
+        raise MalformedTraceFile(f"{path}: empty file")
+    header = tuple(cell.strip() for cell in rows[0])
+    if header not in (("v_piezo", "v_shunt"), ("v_piezo", "v_shunt", "ldv")):
+        raise MalformedTraceFile(
+            f"{path}: header must be v_piezo,v_shunt[,ldv], got {','.join(header)}"
+        )
+    has_ldv = len(header) == 3
+    if has_ldv and ldv_kind is None:
+        raise ValueError(f"{path} has an ldv column; pass ldv_kind explicitly")
+    columns = [[] for _ in header]
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise MalformedTraceFile(
+                f"{path}: line {lineno} has {len(row)} fields, expected {len(header)}"
+            )
+        try:
+            for column, cell in zip(columns, row):
+                column.append(float(cell))
+        except ValueError as exc:
+            raise MalformedTraceFile(f"{path}: line {lineno} is not numeric: {row}") from exc
+    return TimeTraces(
+        sample_rate=sample_rate,
+        v_piezo=np.array(columns[0]),
+        v_shunt=np.array(columns[1]),
+        ldv=np.array(columns[2]) if has_ldv else None,
+        ldv_kind=ldv_kind if has_ldv else None,
+    )
+
+
+_ROWS = "".join(f"{40 * math.sin(0.7 * k):.9g},{-0.5 * math.cos(0.7 * k):.9g}\n" for k in range(60))
+_TWO = "v_piezo,v_shunt\n"
+
+# each file is valid but for its named feature; the rows are enough for a trace
+TRACE_EDGE_FILES = {
+    "plain": _TWO + _ROWS,
+    "blank lines": "\n" + _TWO + "\n" + _ROWS[:300] + "\n\n" + _ROWS[300:] + "\n",
+    "whitespace-only line": _TWO + _ROWS + "  \t\n" + _ROWS,
+    "blank then ragged": _TWO + "\n\n" + _ROWS + "\n1\n",
+    "comment line": _TWO + "# exported by scope\n" + _ROWS,
+    "quoted cells": _TWO + '"1.5"," -2"\n' + _ROWS,
+    "underscore digits": _TWO + _ROWS + "1_0,2\n",
+    "full-width digits": _TWO + "\uff11,2\n" + _ROWS,
+    "ascii separator": _TWO + _ROWS + "1\x1c,2\n",
+    "crlf": (_TWO + _ROWS).replace("\n", "\r\n"),
+    "cr only": (_TWO + _ROWS).replace("\n", "\r"),
+    "no final newline": _TWO + _ROWS.rstrip("\n"),
+    "trailing comma": _TWO + _ROWS.replace("\n", ",\n"),
+    "more columns than header": _TWO + _ROWS.replace("\n", ",0\n"),
+    "fewer columns than header": "v_piezo,v_shunt,ldv\n" + _ROWS,
+    "three columns": "v_piezo,v_shunt,ldv\n" + _ROWS.replace("\n", ",1e-6\n"),
+    "non-numeric": _TWO + _ROWS + "zero,0\n",
+    "nan sample": _TWO + _ROWS + "nan,0\n",
+    "single data row": _TWO + "1,2\n",
+    "header only": _TWO,
+    "header and blank lines": _TWO + "\n\r\n\n",
+    "empty": "",
+    "wrong header": "volts,amps\n" + _ROWS,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", TRACE_EDGE_FILES.values(), ids=TRACE_EDGE_FILES.keys())
+def test_trace_reader_matches_line_scan_reference(tmp_path, text):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for load in (_reference_load_traces_csv, dataio.load_traces_csv):
+        try:
+            outcomes.append(load(path, FS, "velocity"))
+        except TpadlabError as exc:
+            outcomes.append(exc)
+    expected, loaded = outcomes
+    if isinstance(expected, Exception):
+        assert type(loaded) is type(expected)
+        assert str(loaded) == str(expected)
+        return
+    assert isinstance(loaded, TimeTraces) and loaded.ldv_kind == expected.ldv_kind
+    for channel in ("v_piezo", "v_shunt", "ldv"):
+        assert np.array_equal(getattr(loaded, channel), getattr(expected, channel))
+    assert loaded.v_piezo.flags.c_contiguous and not loaded.v_piezo.flags.writeable
 
 
 def test_detect_integer_bin_tone():
@@ -186,6 +288,14 @@ def test_real_power_partial_period_cropping():
     )
     base = dataio.real_power_from_traces(traces, R0)
     assert dataio.real_power_from_traces(extended, R0) == pytest.approx(base, rel=1e-3)
+
+
+def test_real_power_uses_a_given_drive_frequency():
+    traces, _ = tone_traces()
+    detected = dataio.detect_drive_frequency(traces)
+    assert dataio.real_power_from_traces(traces, R0, detected) == dataio.real_power_from_traces(traces, R0)
+    with pytest.raises(InvalidProperty):
+        dataio.real_power_from_traces(traces, R0, 0.0)
 
 
 def test_real_power_requires_positive_shunt():
