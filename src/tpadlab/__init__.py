@@ -64,8 +64,6 @@ from .friction import (
 from .materials import (
     ActuatorSpec,
     GlassSpec,
-    LibraryEntry,
-    builtin_library,
     default_actuator,
     load_material_file,
     lookup,
@@ -87,7 +85,6 @@ __all__ = [
     "FrictionParams",
     "GlassSpec",
     "ImpedanceSpectrum",
-    "LibraryEntry",
     "SqueezeFilmParams",
     "TimeTraces",
     "TrialSummary",
@@ -95,7 +92,6 @@ __all__ = [
     "amplification_from_wavenumbers",
     "amplification_number",
     "amplitude_from_ldv",
-    "builtin_library",
     "contour_amplitude",
     "default_actuator",
     "detect_drive_frequency",

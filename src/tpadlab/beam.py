@@ -26,9 +26,11 @@ on each function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import EmptyGrid, InvalidProperty
+import numpy as np
+
+from .errors import EmptyGrid, InvalidProperty, require_positive
 from .materials import ActuatorSpec, GlassSpec
 
 # Reference plate footprint of the builtin library devices: 60 x 130 mm,
@@ -53,8 +55,7 @@ class BeamGeometry:
     width: float = PLATE_WIDTH_M  # m
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise InvalidProperty(f"beam width must be positive, got {self.width!r}")
+        require_positive(self, "beam ", "width")
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,12 @@ def flexural_stiffness_sandwich(
     D1 = E_p l_w h_p^3/3 + E_a l_w (h_a^3/3 + h_p h_a^2 + h_p^2 h_a),
     the bending integral taken about the bond plane.
     """
-    h_p, h_a = glass.thickness, actuator.thickness
-    return glass.youngs_modulus * geom.width * h_p**3 / 3.0 + actuator.youngs_modulus * geom.width * (
+    return _sandwich_stiffness(glass.thickness, glass.youngs_modulus, actuator, geom.width)
+
+
+def _sandwich_stiffness(h_p, e_p, actuator: ActuatorSpec, width: float):
+    h_a = actuator.thickness
+    return e_p * width * h_p**3 / 3.0 + actuator.youngs_modulus * width * (
         h_a**3 / 3.0 + h_p * h_a**2 + h_p**2 * h_a
     )
 
@@ -154,24 +159,26 @@ def amplification_number(glass: GlassSpec, actuator: ActuatorSpec) -> Amplificat
     with unit width; n itself depends on neither.
     """
     unit = BeamGeometry(width=1.0)
-    d1_prime = flexural_stiffness_sandwich(glass, actuator, unit)
-    d2_per_width = flexural_stiffness_plate(glass, unit)
     beta_a, beta_p = wavenumbers(glass, actuator, unit, REFERENCE_ANGULAR_FREQUENCY)
-    h_p = glass.thickness
-    inner = (
-        (d1_prime / glass.youngs_modulus) ** (1.0 / 3.0)
-        * (actuator.density * actuator.thickness / (h_p**2 * glass.density) + 1.0 / h_p)
-        / 12.0
-    )
-    n = 12.0 * inner**0.75
     return AmplificationResult(
-        d1_prime=d1_prime,
-        d2_per_width=d2_per_width,
+        d1_prime=flexural_stiffness_sandwich(glass, actuator, unit),
+        d2_per_width=flexural_stiffness_plate(glass, unit),
         beta_a=beta_a,
         beta_p=beta_p,
-        n=n,
+        n=_closed_form_n(actuator, glass.thickness, glass.density, glass.youngs_modulus),
         reference_angular_frequency=REFERENCE_ANGULAR_FREQUENCY,
     )
+
+
+def _closed_form_n(actuator: ActuatorSpec, thickness, density, youngs_modulus):
+    """n of :func:`amplification_number`, elementwise over floats or arrays."""
+    d1_prime = _sandwich_stiffness(thickness, youngs_modulus, actuator, 1.0)
+    inner = (
+        (d1_prime / youngs_modulus) ** (1.0 / 3.0)
+        * (actuator.density * actuator.thickness / (thickness**2 * density) + 1.0 / thickness)
+        / 12.0
+    )
+    return 12.0 * inner**0.75
 
 
 def power_ratio(reference: GlassSpec, other: GlassSpec, actuator: ActuatorSpec) -> float:
@@ -202,16 +209,21 @@ def sweep_amplification(
 
     Raises:
         EmptyGrid: the grid has no points.
-        InvalidProperty: a grid value is not positive.
+        InvalidProperty: a grid value that :class:`GlassSpec` rejects (with
+            its message), or one that gives a non-finite n^2.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = [float(v) for v in grid]
-    if not values:
+    values = np.fromiter(grid, dtype=float)
+    if not values.size:
         raise EmptyGrid(f"sweep over {axis!r} got an empty grid")
-    rows = []
-    for value in values:
-        variant = replace(glass, **{axis: value})
-        n = amplification_number(variant, actuator).n
-        rows.append((value, n, n * n))
-    return rows
+    fields = {"thickness": glass.thickness, "density": glass.density, "youngs_modulus": glass.youngs_modulus}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n = _closed_form_n(actuator, **{**fields, axis: values})
+        n_squared = n * n
+    usable = np.isfinite(values) & (values > 0) & np.isfinite(n_squared)
+    if not usable.all():
+        value = float(values[~usable][0])
+        GlassSpec(glass.name, **{**fields, axis: value})  # raises for a value a glass may not have
+        raise InvalidProperty(f"glass {axis} {value!r} is outside the model's range: n^2 is not finite")
+    return list(zip(values.tolist(), n.tolist(), n_squared.tolist()))

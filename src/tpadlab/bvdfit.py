@@ -35,6 +35,9 @@ MIN_POINTS = 8
 
 SPECTRUM_CSV_HEADER = ("frequency_hz", "magnitude_ohm", "phase_deg")
 
+STEP_TOLERANCE = 1e-10
+RESIDUAL_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class ImpedanceSpectrum:
@@ -106,10 +109,6 @@ class FitOptions:
 
     Attributes:
         max_iterations: iteration cap before FitNotConverged.
-        step_tolerance: converged when the largest log-parameter step
-            (i.e. relative parameter step) falls below this.
-        residual_tolerance: converged when the relative cost improvement
-            of an accepted step falls below this.
         fit_static_capacitance: unlock C0 as a fourth parameter.
         shunt_resistance: when set, a series resistance added to the
             model (for spectra derived end-to-end through the shunt).
@@ -118,8 +117,6 @@ class FitOptions:
     """
 
     max_iterations: int = 500
-    step_tolerance: float = 1e-10
-    residual_tolerance: float = 1e-12
     fit_static_capacitance: bool = False
     shunt_resistance: float = 0.0
     initial: BvdParams | None = None
@@ -245,7 +242,7 @@ def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None =
     Starts from ``options.initial`` or :func:`initial_guess`, iterates
     Levenberg-Marquardt steps in log-parameter space, and stops when the
     relative parameter step or the relative cost improvement falls below
-    the configured tolerances.
+    :data:`STEP_TOLERANCE` or :data:`RESIDUAL_TOLERANCE`.
 
     Raises:
         NoResonanceFound: propagated from the automatic initial guess.
@@ -304,9 +301,9 @@ def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None =
         cost_prev, cost = cost, new_cost
         lam = max(lam / 3.0, 1e-12)
 
-        if np.max(np.abs(step)) < opts.step_tolerance:
+        if np.max(np.abs(step)) < STEP_TOLERANCE:
             break
-        if improvement <= opts.residual_tolerance * max(cost_prev, 1e-300):
+        if improvement <= RESIDUAL_TOLERANCE * max(cost_prev, 1e-300):
             break
     else:
         raise FitNotConverged(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProperty
+from .errors import require_positive
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,7 @@ class BvdParams:
     static_capacitance: float  # F
 
     def __post_init__(self):
-        for field in ("inductance", "capacitance", "resistance", "static_capacitance"):
-            value = getattr(self, field)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidProperty(f"{field} must be positive and finite, got {value!r}")
+        require_positive(self, "", "inductance", "capacitance", "resistance", "static_capacitance")
 
 
 @dataclass(frozen=True)
@@ -60,12 +57,8 @@ class DriveConfig:
     shunt_resistance: float = 100.0  # Ohm
 
     def __post_init__(self):
-        if not self.source_voltage > 0:
-            raise InvalidProperty(f"source_voltage must be positive, got {self.source_voltage!r}")
-        if not self.shunt_resistance >= 0:
-            raise InvalidProperty(
-                f"shunt_resistance must be >= 0, got {self.shunt_resistance!r}"
-            )
+        require_positive(self, "", "source_voltage")
+        require_positive(self, "", "shunt_resistance", allow_zero=True)
 
 
 @dataclass(frozen=True)

@@ -61,14 +61,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value: float) -> str:
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return format(float(value), ".12g")
+
+
+def _row(*cells) -> str:
+    """One CSV row: strings as they are, None empty, bools true/false, numbers to 12 digits."""
+    return ",".join(map(_cell, cells))
 
 
 def _materials_csv_rows(glasses) -> list[str]:
     lines = ["name,thickness_m,density_kg_m3,youngs_modulus_pa"]
     for g in glasses:
-        lines.append(f"{g.name},{_fmt(g.thickness)},{_fmt(g.density)},{_fmt(g.youngs_modulus)}")
+        lines.append(_row(g.name, g.thickness, g.density, g.youngs_modulus))
     return lines
 
 
@@ -85,7 +96,7 @@ def _cmd_materials(args, parser) -> list[str]:
         a = materials.default_actuator()
         return [
             "thickness_m,density_kg_m3,youngs_modulus_pa,static_capacitance_f",
-            f"{_fmt(a.thickness)},{_fmt(a.density)},{_fmt(a.youngs_modulus)},{_fmt(a.static_capacitance)}",
+            _row(a.thickness, a.density, a.youngs_modulus, a.static_capacitance),
         ]
     extra = _extra_materials(args)
     if args.show:
@@ -105,22 +116,22 @@ def _cmd_friction(args, parser) -> list[str]:
         )
         vib = friction.VibrationState(frequency=args.freq, amplitude=args.amp)
         mu = friction.relative_friction_velocity(vib, params)
-        psi_text = "inf" if args.amp == 0 else _fmt(friction.psi(vib, params))
+        psi = "inf" if args.amp == 0 else friction.psi(vib, params)
         return [
             "model,frequency_hz,amplitude_m,psi,mu_prime",
-            f"velocity,{_fmt(args.freq)},{_fmt(args.amp)},{psi_text},{_fmt(mu)}",
+            _row("velocity", args.freq, args.amp, psi, mu),
         ]
     if args.model == "squeeze":
         if args.amp is None or args.u0 is None or args.ps is None:
             parser.error("--model squeeze needs --amp, --u0 and --ps")
         params = friction.SqueezeFilmParams(u0=args.u0, ps=args.ps, p0=args.p0)
         mu = friction.relative_friction_squeeze(args.amp, params)
-        return ["model,amplitude_m,mu_prime", f"squeeze,{_fmt(args.amp)},{_fmt(mu)}"]
+        return ["model,amplitude_m,mu_prime", _row("squeeze", args.amp, mu)]
     # contour
     if args.freq is None:
         parser.error("--model contour needs --freq")
     alpha_um = friction.contour_amplitude(args.freq)
-    return ["model,frequency_hz,amplitude_um", f"contour,{_fmt(args.freq)},{_fmt(alpha_um)}"]
+    return ["model,frequency_hz,amplitude_um", _row("contour", args.freq, alpha_um)]
 
 
 def _cmd_circuit(args, parser) -> list[str]:
@@ -136,7 +147,7 @@ def _cmd_circuit(args, parser) -> list[str]:
         x1 = circuit.motional_reactance(params, args.freq)
         return [
             "frequency_hz,x0_ohm,x1_ohm,z_real_ohm,z_imag_ohm,z_abs_ohm",
-            ",".join(_fmt(v) for v in (args.freq, x0, x1, z.real, z.imag, abs(z))),
+            _row(args.freq, x0, x1, z.real, z.imag, abs(z)),
         ]
     voltage = args.voltage
     if voltage is None:
@@ -149,20 +160,8 @@ def _cmd_circuit(args, parser) -> list[str]:
         "frequency_hz,x0_ohm,x1_ohm,z_real_ohm,z_imag_ohm,z_abs_ohm,"
         "u_g_v,u_g_exact_v,i_g_a,delta_p_w"
     )
-    row = ",".join(
-        _fmt(v)
-        for v in (
-            ev.frequency,
-            ev.x0,
-            ev.x1,
-            ev.z.real,
-            ev.z.imag,
-            abs(ev.z),
-            ev.u_g,
-            ev.u_g_exact,
-            ev.i_g,
-            ev.delta_p,
-        )
+    row = _row(
+        ev.frequency, ev.x0, ev.x1, ev.z.real, ev.z.imag, abs(ev.z), ev.u_g, ev.u_g_exact, ev.i_g, ev.delta_p
     )
     return [header, row]
 
@@ -197,17 +196,15 @@ def _cmd_fit(args, parser) -> list[str]:
         "inductance_h,capacitance_f,resistance_ohm,static_capacitance_f,"
         "resonant_frequency_hz,residual_norm,iterations,converged"
     )
-    row = ",".join(
-        [
-            _fmt(p.inductance),
-            _fmt(p.capacitance),
-            _fmt(p.resistance),
-            _fmt(p.static_capacitance),
-            _fmt(circuit.resonant_frequency(p)),
-            _fmt(result.residual_norm),
-            str(result.iterations),
-            "true" if result.converged else "false",
-        ]
+    row = _row(
+        p.inductance,
+        p.capacitance,
+        p.resistance,
+        p.static_capacitance,
+        circuit.resonant_frequency(p),
+        result.residual_norm,
+        result.iterations,
+        result.converged,
     )
     return [header, row]
 
@@ -244,7 +241,7 @@ def _resolve_actuator(args) -> materials.ActuatorSpec:
     )
 
 
-def _parse_grid(args, parser, axis: str) -> list[float]:
+def _parse_grid(args, parser, axis: str):
     parse_value = _AXIS_VALUE_PARSERS[axis]
     if args.grid_values:
         try:
@@ -263,13 +260,11 @@ def _parse_grid(args, parser, axis: str) -> list[float]:
         parser.error(str(exc))
     if count < 1:
         parser.error("--grid COUNT must be >= 1")
-    return [float(v) for v in np.linspace(start, stop, count)]
+    return np.linspace(start, stop, count)
 
 
 def _sweep_lines(rows) -> list[str]:
-    lines = ["axis_value,n,n_squared"]
-    lines += [f"{_fmt(v)},{_fmt(n)},{_fmt(n2)}" for v, n, n2 in rows]
-    return lines
+    return ["axis_value,n,n_squared"] + [_row(*row) for row in rows]
 
 
 def _cmd_beam(args, parser) -> list[str]:
@@ -278,25 +273,16 @@ def _cmd_beam(args, parser) -> list[str]:
     if args.sweep:
         grid = _parse_grid(args, parser, args.sweep)
         return _sweep_lines(beam.sweep_amplification(glass, actuator, args.sweep, grid))
-    result = beam.amplification_number(glass, actuator)
+    r = beam.amplification_number(glass, actuator)
     header = "name,d1_prime_pa_m3,d2_per_width_pa_m3,beta_a_per_m,beta_p_per_m,n,n_squared"
-    fields = [
-        glass.name,
-        _fmt(result.d1_prime),
-        _fmt(result.d2_per_width),
-        _fmt(result.beta_a),
-        _fmt(result.beta_p),
-        _fmt(result.n),
-        _fmt(result.n_squared),
-    ]
+    fields = [glass.name, r.d1_prime, r.d2_per_width, r.beta_a, r.beta_p, r.n, r.n_squared]
     lines = []
     if args.reference:
         reference = materials.lookup(args.reference, _extra_materials(args))
-        ratio = beam.power_ratio(reference, glass, actuator)
         header += ",predicted_power_ratio"
-        fields.append(_fmt(ratio))
+        fields.append(beam.power_ratio(reference, glass, actuator))
         lines.append(MODEL_CONDITIONAL_NOTE)
-    return lines + [header, ",".join(fields)]
+    return lines + [header, _row(*fields)]
 
 
 def _prediction_lines(glasses, reference, actuator) -> list[str]:
@@ -304,7 +290,7 @@ def _prediction_lines(glasses, reference, actuator) -> list[str]:
     lines = [MODEL_CONDITIONAL_NOTE, "name,n_squared,predicted_power_ratio"]
     for g in glasses:
         n2 = beam.amplification_number(g, actuator).n_squared
-        lines.append(f"{g.name},{_fmt(n2)},{_fmt(n2_ref / n2)}")
+        lines.append(_row(g.name, n2, n2_ref / n2))
     return lines
 
 
@@ -326,20 +312,9 @@ def _cmd_reduce_traces(args, parser) -> list[str]:
                 ldv=traces.ldv,
                 ldv_kind=traces.ldv_kind,
             )
-        if traces.ldv is not None:
-            s = dataio.summarize_trial(traces, args.shunt)
-            row = (
-                f"{path},{_fmt(s.drive_frequency)},{_fmt(s.real_power)},{_fmt(s.amplitude)},"
-                f"{_fmt(s.rms_current)},{'true' if s.amplitude_low_confidence else 'false'}"
-            )
-        elif not np.any(traces.v_piezo) and not np.any(traces.v_shunt):
-            row = f"{path},0,0,,0,"
-        else:
-            frequency = dataio.detect_drive_frequency(traces)
-            power = dataio.real_power_from_traces(traces, args.shunt, frequency)
-            rms_current = float(np.sqrt(np.mean(traces.v_shunt**2))) / args.shunt
-            row = f"{path},{_fmt(frequency)},{_fmt(power)},,{_fmt(rms_current)},"
-        lines.append(row)
+        s = dataio.summarize_trial(traces, args.shunt)
+        row = (path, s.drive_frequency, s.real_power, s.amplitude, s.rms_current, s.amplitude_low_confidence)
+        lines.append(_row(*row))
     return lines
 
 
@@ -356,7 +331,7 @@ def _fig10_blocks() -> list[tuple[str, list[str]]]:
 def _cmd_repro(args, parser) -> list[str] | None:
     if args.figure == "fig4":
         lines = ["frequency_hz,amplitude_um"]
-        lines += [f"{_fmt(f)},{_fmt(friction.contour_amplitude(f))}" for f in _FIG4_FREQS_HZ]
+        lines += [_row(f, friction.contour_amplitude(f)) for f in _FIG4_FREQS_HZ]
         return lines
     if args.figure == "fig11":
         reference = materials.lookup("SLG_0.4")

@@ -133,20 +133,22 @@ class TrialSummary:
     Attributes:
         drive_frequency: detected drive tone (Hz); 0 for a null trial.
         real_power: mean of v*i over integer drive periods (W).
-        amplitude: vibration displacement amplitude (m).
+        amplitude: vibration displacement amplitude (m); None for traces
+            without an LDV channel.
         rms_current: RMS of v_shunt / R0 (A).
         amplitude_low_confidence: amplitude estimate sits near the noise
-            floor (see :class:`AmplitudeEstimate`).
+            floor (see :class:`AmplitudeEstimate`); None exactly when
+            ``amplitude`` is.
     """
 
     drive_frequency: float  # Hz
     real_power: float  # W
-    amplitude: float  # m
+    amplitude: float | None  # m
     rms_current: float  # A
-    amplitude_low_confidence: bool = False
+    amplitude_low_confidence: bool | None = False
 
     def __post_init__(self):
-        if not self.amplitude >= 0:
+        if self.amplitude is not None and not self.amplitude >= 0:
             raise InvalidProperty(f"amplitude must be >= 0, got {self.amplitude!r}")
 
 
@@ -183,7 +185,9 @@ def _read_csv_table(path, check_header, error, noun: str, positive=None) -> np.n
     try:
         with open(path, "rb") as file:
             raw = file.read()
-    except OSError as exc:
+        if not raw.isascii():
+            raw.decode("utf-8")  # only to check it: a StringIO of the text takes 4 bytes a character
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {noun} file {path}: {exc}") from exc
     handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
     header = tuple(cell.strip() for cell in next(filter(None, csv.reader(handle)), ()))
@@ -216,8 +220,8 @@ def load_traces_csv(path, sample_rate: float, ldv_kind: str | None = None) -> Ti
     skipped.
 
     Raises:
-        MalformedTraceFile: unreadable, wrong header, ragged or
-            non-numeric rows.
+        MalformedTraceFile: unreadable or not UTF-8, wrong header, ragged
+            or non-numeric rows.
         InsufficientSamples: fewer rows than the minimum trace length.
     """
 
@@ -329,36 +333,35 @@ def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None)
         frequency=float(frequency),
         amplitude=float(amplitude),
         noise_floor=noise_floor,
-        low_confidence=amplitude < LOW_CONFIDENCE_FLOOR_RATIO * noise_floor,
+        low_confidence=bool(amplitude < LOW_CONFIDENCE_FLOOR_RATIO * noise_floor),
     )
 
 
 def summarize_trial(traces: TimeTraces, shunt_resistance: float) -> TrialSummary:
     """Reduce one trial to drive frequency, power, amplitude and current.
 
-    A null capture (all channels identically zero) summarizes to zeros
-    rather than failing tone detection; its amplitude is flagged
+    Traces without an LDV channel give ``amplitude`` and
+    ``amplitude_low_confidence`` None.  A null capture (all channels
+    identically zero) summarizes to zeros rather than failing tone
+    detection; with an LDV channel, its amplitude is flagged
     low-confidence since there is no tone to measure.
 
     Raises:
-        NoLdvChannel: traces carry no LDV channel (callers that only
-            need power should use the individual operations).
         DriveFrequencyNotFound: non-null traces without an in-band tone.
     """
     if not shunt_resistance > 0:
         raise InvalidProperty(f"shunt_resistance must be positive, got {shunt_resistance!r}")
+    has_ldv = traces.ldv is not None
     silent = not np.any(traces.v_piezo) and not np.any(traces.v_shunt)
-    if silent and (traces.ldv is None or not np.any(traces.ldv)):
-        return TrialSummary(0.0, 0.0, 0.0, 0.0, amplitude_low_confidence=True)
-    if traces.ldv is None:
-        raise NoLdvChannel("traces have no ldv channel; use real_power_from_traces instead")
+    if silent and not (has_ldv and np.any(traces.ldv)):
+        return TrialSummary(0.0, 0.0, 0.0 if has_ldv else None, 0.0, True if has_ldv else None)
     frequency = detect_drive_frequency(traces)
-    estimate = amplitude_from_ldv(traces, frequency)
+    estimate = amplitude_from_ldv(traces, frequency) if has_ldv else None
     rms_current = float(np.sqrt(np.mean(traces.v_shunt**2))) / shunt_resistance
     return TrialSummary(
         drive_frequency=frequency,
         real_power=real_power_from_traces(traces, shunt_resistance, frequency),
-        amplitude=estimate.amplitude,
+        amplitude=None if estimate is None else estimate.amplitude,
         rms_current=rms_current,
-        amplitude_low_confidence=estimate.low_confidence,
+        amplitude_low_confidence=None if estimate is None else estimate.low_confidence,
     )

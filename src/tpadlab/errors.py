@@ -11,6 +11,9 @@ maps them to distinct exit codes):
 
 from __future__ import annotations
 
+import math
+import numbers
+
 
 class TpadlabError(Exception):
     """Base class for all toolkit-specific errors."""
@@ -82,3 +85,17 @@ class NoLdvChannel(AnalysisError):
 
 class EmptyGrid(AnalysisError):
     """A parameter sweep was requested over an empty grid."""
+
+
+def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False) -> None:
+    """Raise InvalidProperty unless the named fields of a value record are finite reals > 0.
+
+    With ``allow_zero`` they may also be 0.  The message names the field
+    after ``prefix``: ``glass density must be positive and finite, got inf``.
+    """
+    for field in fields:
+        value = getattr(record, field)
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        if not (finite and (value >= 0 if allow_zero else value > 0)):
+            rule = ">= 0" if allow_zero else "positive"
+            raise InvalidProperty(f"{prefix}{field} must be {rule} and finite, got {value!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateAmplitude, InvalidProperty, OutOfContourRange
+from .errors import DegenerateAmplitude, InvalidProperty, OutOfContourRange, require_positive
 
 ATMOSPHERIC_PRESSURE_PA = 101325.0
 
@@ -44,10 +44,8 @@ class VibrationState:
     amplitude: float  # m
 
     def __post_init__(self):
-        if not self.frequency > 0:
-            raise InvalidProperty(f"vibration frequency must be positive, got {self.frequency!r}")
-        if not self.amplitude >= 0:
-            raise InvalidProperty(f"vibration amplitude must be >= 0, got {self.amplitude!r}")
+        require_positive(self, "vibration ", "frequency")
+        require_positive(self, "vibration ", "amplitude", allow_zero=True)
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,7 @@ class FrictionParams:
     psi_star: float = 4.69
 
     def __post_init__(self):
-        for field in ("explore_velocity", "mu0", "poisson", "psi_star"):
-            if not getattr(self, field) > 0:
-                raise InvalidProperty(f"{field} must be positive, got {getattr(self, field)!r}")
+        require_positive(self, "", "explore_velocity", "mu0", "poisson", "psi_star")
         if not self.poisson < 0.5:
             raise InvalidProperty(f"poisson must be in (0, 0.5), got {self.poisson!r}")
 
@@ -92,9 +88,7 @@ class SqueezeFilmParams:
     p0: float = ATMOSPHERIC_PRESSURE_PA  # Pa
 
     def __post_init__(self):
-        for field in ("u0", "ps", "p0"):
-            if not getattr(self, field) > 0:
-                raise InvalidProperty(f"{field} must be positive, got {getattr(self, field)!r}")
+        require_positive(self, "", "u0", "ps", "p0")
 
 
 DEFAULT_FRICTION_PARAMS = FrictionParams()

@@ -16,12 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidProperty, MalformedMaterialFile, UnknownMaterial
-
-# Excitation band spanned by the reference devices (Hz).  Individual
-# resonance frequencies vary plate by plate and are not part of the
-# material record.
-EXCITATION_BAND_HZ = (22.4e3, 44.6e3)
+from .errors import InvalidProperty, MalformedMaterialFile, UnknownMaterial, require_positive
 
 # Admissible plate thickness for library entries (m).  Catches unit
 # mix-ups (a "0.4" entered as meters instead of millimeters).
@@ -49,10 +44,7 @@ class GlassSpec:
     def __post_init__(self):
         if not self.name:
             raise InvalidProperty("glass name must be non-empty")
-        for field in ("thickness", "density", "youngs_modulus"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise InvalidProperty(f"glass {field} must be positive, got {value!r}")
+        require_positive(self, "glass ", "thickness", "density", "youngs_modulus")
 
 
 @dataclass(frozen=True)
@@ -64,38 +56,15 @@ class ActuatorSpec:
         density: mass density (kg/m^3).
         youngs_modulus: Young's modulus (Pa).
         static_capacitance: clamped (static) capacitance C0 (F).
-        coupling: optional electromechanical coupling coefficient; no
-            builtin value is provided, callers must measure their own.
     """
 
     thickness: float  # m
     density: float  # kg/m^3
     youngs_modulus: float  # Pa
     static_capacitance: float  # F
-    coupling: float | None = None
 
     def __post_init__(self):
-        for field in ("thickness", "density", "youngs_modulus", "static_capacitance"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise InvalidProperty(f"actuator {field} must be positive, got {value!r}")
-        if self.coupling is not None and not self.coupling > 0:
-            raise InvalidProperty(f"actuator coupling must be positive, got {self.coupling!r}")
-
-
-@dataclass(frozen=True)
-class LibraryEntry:
-    """One builtin device: a glass plate plus the shared actuator.
-
-    ``excitation_hz`` is the plate's operating resonance when known.  The
-    builtin entries keep it ``None``: only the band covered by the whole
-    family is documented (:data:`EXCITATION_BAND_HZ`), not per-plate
-    values.
-    """
-
-    glass: GlassSpec
-    actuator: ActuatorSpec
-    excitation_hz: float | None = None
+        require_positive(self, "actuator ", "thickness", "density", "youngs_modulus", "static_capacitance")
 
 
 DEFAULT_ACTUATOR = ActuatorSpec(
@@ -123,14 +92,6 @@ def default_actuator() -> ActuatorSpec:
     return DEFAULT_ACTUATOR
 
 
-def builtin_library() -> tuple[LibraryEntry, ...]:
-    """Return the builtin device library in its reference order."""
-    return tuple(
-        LibraryEntry(glass=GlassSpec(name, t, rho, e), actuator=DEFAULT_ACTUATOR)
-        for name, t, rho, e in _BUILTIN_GLASSES
-    )
-
-
 def _check_library_thickness(glass: GlassSpec) -> GlassSpec:
     lo, hi = LIBRARY_THICKNESS_BAND_M
     if not lo <= glass.thickness <= hi:
@@ -155,7 +116,7 @@ def load_material_file(path) -> list[GlassSpec]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedMaterialFile(f"cannot read material file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedMaterialFile(f"material file {path} is not valid JSON: {exc}") from exc
@@ -191,7 +152,7 @@ def load_material_file(path) -> list[GlassSpec]:
 
 def material_library(extra=()) -> list[GlassSpec]:
     """Return all known glasses, extra records first (they shadow builtins)."""
-    return list(extra) + [entry.glass for entry in builtin_library()]
+    return list(extra) + [GlassSpec(*row) for row in _BUILTIN_GLASSES]
 
 
 def lookup(name: str, extra=()) -> GlassSpec:

@@ -6,13 +6,14 @@ accepts a bare number (taken as SI) or a number followed by one of the
 listed suffixes, with optional whitespace in between, e.g. ``"0.4mm"``,
 ``"2.483 g/cm3"``, ``"71 kN/mm2"``, ``"9.88nF"``.
 
-Parsers raise :class:`ValueError` on unknown suffixes so they can be used
-directly as ``argparse`` type callables (argparse turns that into a usage
-error).
+Parsers raise :class:`ValueError` on unknown suffixes and on values that
+overflow to infinity, so they can be used directly as ``argparse`` type
+callables (argparse turns that into a usage error).
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 _QUANTITY_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
@@ -47,7 +48,10 @@ def _parse(text: str, table: dict[str, float], kind: str, casefold: bool = True)
     if suffix not in table:
         known = ", ".join(sorted(s for s in table if s))
         raise ValueError(f"unknown {kind} unit {suffix!r} in {text!r} (expected one of: {known})")
-    return float(value) * table[suffix]
+    result = float(value) * table[suffix]
+    if not math.isfinite(result):
+        raise ValueError(f"{kind} value {text!r} is not finite")
+    return result
 
 
 def parse_length(text: str) -> float:

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpadlab import beam
 from tpadlab.beam import BeamGeometry
@@ -206,6 +209,45 @@ def test_sweep_rejects_unknown_axis():
 def test_sweep_rejects_nonpositive_value():
     with pytest.raises(InvalidProperty):
         beam.sweep_amplification(SLG_04, ACTUATOR, "density", [2483.0, -1.0])
+
+
+# Positive values over sixty decades: n and n^2 stay finite on every axis.
+GRID_VALUES = st.floats(min_value=1e-30, max_value=1e30)
+REJECTED_VALUES = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
+
+
+@settings(database=None, deadline=None)
+@given(axis=st.sampled_from(beam.SWEEP_AXES), grid=st.lists(GRID_VALUES, min_size=1, max_size=20))
+def test_sweep_matches_amplification_number_per_point(axis, grid):
+    # array pow may round the last bit otherwise than Python's float pow
+    for glass in material_library():
+        rows = beam.sweep_amplification(glass, ACTUATOR, axis, grid)
+        assert [row[0] for row in rows] == grid
+        for value, n, n_squared in rows:
+            expected = beam.amplification_number(replace(glass, **{axis: value}), ACTUATOR).n
+            assert abs(n / expected - 1.0) <= 2e-15
+            assert n_squared == n * n
+
+
+@settings(database=None, deadline=None)
+@given(
+    axis=st.sampled_from(beam.SWEEP_AXES),
+    glass=st.sampled_from(material_library()),
+    before=st.lists(GRID_VALUES, max_size=5),
+    bad=REJECTED_VALUES,
+    after=st.lists(st.one_of(GRID_VALUES, REJECTED_VALUES), max_size=5),
+)
+def test_sweep_rejects_what_glass_spec_rejects(axis, glass, before, bad, after):
+    with pytest.raises(InvalidProperty) as expected:
+        replace(glass, **{axis: bad})
+    with pytest.raises(InvalidProperty) as raised:
+        beam.sweep_amplification(glass, ACTUATOR, axis, before + [bad] + after)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_sweep_rejects_values_outside_the_model():
+    with pytest.raises(InvalidProperty, match="glass thickness 1e-200 is outside the model's range"):
+        beam.sweep_amplification(SLG_04, ACTUATOR, "thickness", [0.4e-3, 1e-200])
 
 
 def test_monotone_over_design_ranges():

@@ -224,6 +224,10 @@ def test_csv_rejects_bad_rows(tmp_path):
     text.write_text(header + "30000,five hundred,-80\n")
     with pytest.raises(MalformedSpectrumFile):
         bvdfit.load_impedance_csv(text)
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(header.encode() + b"30000,500,-80\n\xff0000,500,-80\n")
+    with pytest.raises(MalformedSpectrumFile, match="cannot read spectrum file"):
+        bvdfit.load_impedance_csv(latin)
 
 
 def _reference_load_impedance_csv(path):

@@ -243,6 +243,19 @@ def test_circuit_rejects_bad_parameters(run_cli):
     assert code == 2
 
 
+CIRCUIT_ARGS = (
+    "circuit", "--inductance", "28.1mH", "--capacitance", "1nF", "--resistance", "2150", "--c0", "9.88nF"
+)
+
+
+def test_circuit_rejects_infinite_voltage(run_cli):
+    assert run_cli(*CIRCUIT_ARGS, "--voltage", "1e999") == (64, "")
+
+
+def test_circuit_rejects_infinite_frequency(run_cli):
+    assert run_cli(*CIRCUIT_ARGS, "--freq", "1e999") == (64, "")
+
+
 def test_circuit_rejects_bad_unit_suffix(run_cli):
     code, _ = run_cli(
         "circuit", "--inductance", str(L_30K), "--capacitance", "1nX",
@@ -357,6 +370,25 @@ def test_beam_explicit_properties_match_library(run_cli):
     custom = cells(rows(out)[1])
     assert custom[0] == "custom"
     assert float(custom[5]) == pytest.approx(lib_n, rel=1e-12)
+
+
+def test_beam_rejects_infinite_thickness(run_cli):
+    code, out = run_cli("beam", "--thickness", "1e999", "--density", "2.5g/cm3", "--youngs-modulus", "70GPa")
+    assert (code, out) == (64, "")
+
+
+def test_beam_rejects_infinite_actuator_density(run_cli):
+    assert run_cli("beam", "--glass", "SLG_0.4", "--actuator-density", "1e999") == (64, "")
+
+
+def test_beam_rejects_infinite_density_in_material_file(run_cli, tmp_path):
+    extra = _write_material_json(tmp_path / "inf.json", name="X", density=math.inf)
+    assert run_cli("beam", "--glass", "X", "--file", extra) == (2, "")
+
+
+def test_beam_sweep_rejects_points_outside_the_model(run_cli):
+    code, out = run_cli("beam", "--glass", "SLG_0.4", "--sweep", "thickness", "--grid-values", "0.4mm,1e-200")
+    assert (code, out) == (2, "")
 
 
 def test_beam_glass_and_explicit_are_exclusive(run_cli):
@@ -533,6 +565,25 @@ def test_reduce_traces_bad_file(run_cli, tmp_path):
     bad.write_text("time,volts\n0,0\n")
     code, _ = run_cli("reduce-traces", str(bad), "--sample-rate", "300kHz")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,name,content",
+    [
+        (("reduce-traces", "{}", "--sample-rate", "300kHz"), "trace.csv", b"v_piezo,v_shunt\n1,2\n\xff,3\n"),
+        (
+            ("fit", "--input", "{}", "--c0", "1nF"),
+            "spectrum.csv",
+            b"frequency_hz,magnitude_ohm,phase_deg\n\xff,3,4\n",
+        ),
+        (("materials", "--file", "{}"), "extra.json", b'[{"name": "\xff"}]'),
+    ],
+    ids=["trace", "spectrum", "material"],
+)
+def test_non_utf8_input_is_unusable(run_cli, tmp_path, argv, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert run_cli(*(arg.format(path) for arg in argv)) == (2, "")
 
 
 def test_reduce_traces_non_finite_sample(run_cli, tmp_path):

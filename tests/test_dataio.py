@@ -140,6 +140,15 @@ def test_load_csv_rejects_bad_files(tmp_path):
     empty.write_text("")
     with pytest.raises(MalformedTraceFile):
         dataio.load_traces_csv(empty, FS)
+    # not UTF-8, in the body and in the header
+    for name, raw in (
+        ("body", b"v_piezo,v_shunt\n" + b"0,0\n" * 50 + b"\xff,0\n"),
+        ("header", b"v_pi\xffzo,v_shunt\n"),
+    ):
+        latin = tmp_path / f"{name}.csv"
+        latin.write_bytes(raw)
+        with pytest.raises(MalformedTraceFile, match="cannot read trace file"):
+            dataio.load_traces_csv(latin, FS)
 
 
 def _reference_load_traces_csv(path, sample_rate, ldv_kind=None):
@@ -388,10 +397,20 @@ def test_summarize_trial_null_capture():
     assert summary == TrialSummary(0.0, 0.0, 0.0, 0.0, amplitude_low_confidence=True)
 
 
-def test_summarize_trial_requires_ldv():
+def test_summarize_trial_without_ldv():
     traces, _ = tone_traces()
-    with pytest.raises(NoLdvChannel):
-        dataio.summarize_trial(traces, R0)
+    summary = dataio.summarize_trial(traces, R0)
+    assert summary.drive_frequency == pytest.approx(30e3, abs=1.0)
+    assert summary.real_power == pytest.approx(1.0, rel=1e-3)
+    assert summary.rms_current == pytest.approx(0.1 / math.sqrt(2.0), rel=1e-6)
+    assert summary.amplitude is None
+    assert summary.amplitude_low_confidence is None
+
+
+def test_summarize_trial_null_capture_without_ldv():
+    n = 30000
+    summary = dataio.summarize_trial(TimeTraces(FS, np.zeros(n), np.zeros(n)), R0)
+    assert summary == TrialSummary(0.0, 0.0, None, 0.0, amplitude_low_confidence=None)
 
 
 def test_summarize_trial_requires_positive_shunt():

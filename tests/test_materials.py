@@ -18,7 +18,7 @@ EXPECTED_NAMES = [
 
 
 def test_library_has_the_eight_reference_plates():
-    names = [entry.glass.name for entry in materials.builtin_library()]
+    names = [glass.name for glass in materials.material_library()]
     assert names == EXPECTED_NAMES
 
 
@@ -38,17 +38,15 @@ def test_lookup_returns_datasheet_values(name, thickness, density, modulus):
 
 
 def test_library_is_deterministic():
-    first, second = materials.builtin_library(), materials.builtin_library()
+    first, second = materials.material_library(), materials.material_library()
     assert first == second
 
 
 def test_every_entry_is_self_consistent():
     lo, hi = materials.LIBRARY_THICKNESS_BAND_M
-    for entry in materials.builtin_library():
-        g = entry.glass
+    for g in materials.material_library():
         assert g.thickness > 0 and g.density > 0 and g.youngs_modulus > 0
         assert lo <= g.thickness <= hi
-        assert entry.actuator == materials.default_actuator()
 
 
 def test_default_actuator_record():
@@ -57,7 +55,6 @@ def test_default_actuator_record():
     assert a.density == 7900.0
     assert a.youngs_modulus == 84e9
     assert a.static_capacitance == 9.88e-9
-    assert a.coupling is None
 
 
 def test_lookup_unknown_name():
@@ -120,6 +117,21 @@ def test_load_rejects_non_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json {")
     with pytest.raises(MalformedMaterialFile):
+        materials.load_material_file(path)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'[{"name": "Gr\xfcn"}]')
+    with pytest.raises(MalformedMaterialFile, match="cannot read material file"):
+        materials.load_material_file(path)
+
+
+def test_load_rejects_infinite_density(tmp_path):
+    path = tmp_path / "inf.json"
+    record = '{"name": "x", "thickness_m": 4e-4, "density_kg_m3": Infinity, "youngs_modulus_pa": 71e9}'
+    path.write_text(f"[{record}]")
+    with pytest.raises(InvalidProperty, match="glass density must be positive and finite, got inf"):
         materials.load_material_file(path)
 
 

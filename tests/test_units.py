@@ -40,3 +40,17 @@ def test_unknown_suffix_rejected():
         units.parse_capacitance("9.88nX")
     with pytest.raises(ValueError):
         units.parse_frequency("fast")
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (units.parse_voltage, "1e999"),
+        (units.parse_frequency, "1e999 kHz"),
+        (units.parse_length, "-1e999"),
+        (units.parse_pressure, "1e300GPa"),
+    ],
+)
+def test_non_finite_value_rejected(parse, text):
+    with pytest.raises(ValueError, match="is not finite"):
+        parse(text)
