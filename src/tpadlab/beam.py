@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyGrid, InvalidProperty, require_positive
 from .materials import ActuatorSpec, GlassSpec
 
@@ -212,6 +210,8 @@ def sweep_amplification(
         InvalidProperty: a grid value that :class:`GlassSpec` rejects (with
             its message), or one that gives a non-finite n^2.
     """
+    import numpy as np
+
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = np.fromiter(grid, dtype=float)

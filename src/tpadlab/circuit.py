@@ -12,14 +12,14 @@ power) use |X0|; the sign matters only inside the complex impedance.
 Voltages are RMS so that delta_p = u_g^2 / R without a factor of 1/2.
 
 All functions accept numpy arrays for ``frequency`` and broadcast.
+Only :func:`impedance` and :func:`transfer_ug_over_i` import numpy, so
+the scalar routes run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import require_positive
 
@@ -94,12 +94,12 @@ def resonant_frequency(p: BvdParams) -> float:
 
 def static_reactance_magnitude(static_capacitance: float, frequency) -> float:
     """|X0| = 1/(C0 * 2*pi*f) in Ohm."""
-    return 1.0 / (static_capacitance * 2.0 * np.pi * frequency)
+    return 1.0 / (static_capacitance * 2.0 * math.pi * frequency)
 
 
 def motional_reactance(p: BvdParams, frequency) -> float:
     """X1 = L*w - 1/(C*w) in Ohm; zero exactly at resonance."""
-    w = 2.0 * np.pi * frequency
+    w = 2.0 * math.pi * frequency
     return p.inductance * w - 1.0 / (p.capacitance * w)
 
 
@@ -111,14 +111,18 @@ def impedance(p: BvdParams, frequency) -> complex:
 
         Z = [X0^2 R + j X0 (R^2 + X0 X1 + X1^2)] / [R^2 + (X0 + X1)^2]
 
-    with signed X0 = -1/(C0 w).
+    with signed X0 = -1/(C0 w).  A frequency whose terms leave float
+    range gives ``inf`` or ``nan`` without a numpy warning.
     """
+    import numpy as np
+
     w = 2.0 * np.pi * np.asarray(frequency, dtype=float)
-    x0 = -1.0 / (p.static_capacitance * w)
-    x1 = p.inductance * w - 1.0 / (p.capacitance * w)
-    r = p.resistance
-    den = r * r + (x0 + x1) ** 2
-    z = (x0 * x0 * r + 1j * x0 * (r * r + x0 * x1 + x1 * x1)) / den
+    with np.errstate(all="ignore"):
+        x0 = -1.0 / (p.static_capacitance * w)
+        x1 = p.inductance * w - 1.0 / (p.capacitance * w)
+        r = p.resistance
+        den = r * r + (x0 + x1) ** 2
+        z = (x0 * x0 * r + 1j * x0 * (r * r + x0 * x1 + x1 * x1)) / den
     return complex(z) if np.isscalar(frequency) else z
 
 
@@ -168,6 +172,8 @@ def transfer_ug_over_i(p: BvdParams, frequency) -> complex:
     at s = j*2*pi*f.  Identical to :func:`impedance` for this network;
     kept as an independent route for cross-checking.
     """
+    import numpy as np
+
     s = 1j * 2.0 * np.pi * np.asarray(frequency, dtype=float)
     l, c, r, c0 = p.inductance, p.capacitance, p.resistance, p.static_capacitance
     num = l * c * s**2 + r * c * s + 1.0

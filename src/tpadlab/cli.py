@@ -18,7 +18,9 @@ Numeric flags accept unit suffixes (e.g. ``0.4mm``, ``9.88nF``,
 
 Exit codes: 0 success, 64 usage error, 2 unusable input
 (:class:`~tpadlab.errors.ParseError`), 3 analysis failure
-(:class:`~tpadlab.errors.AnalysisError`).
+(:class:`~tpadlab.errors.AnalysisError`, or a result outside the model's
+range: a non-finite number to print, or an overflow or a division by zero
+inside a closed form).
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import beam, bvdfit, circuit, dataio, friction, materials, units
-from .errors import AnalysisError, ParseError, TpadlabError
+from . import beam, circuit, friction, materials, units
+from .errors import AnalysisError, TpadlabError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -43,14 +43,8 @@ MODEL_CONDITIONAL_NOTE = (
     "actuator impedance and that plate impedances are similar across designs"
 )
 
-# repro grids: contour samples every 1 kHz; sweep grids matching the
-# acceptance ranges for thickness/density/modulus
+# repro fig4: contour samples every 1 kHz
 _FIG4_FREQS_HZ = [1e3 * k for k in range(16, 161)]
-_FIG10_GRIDS = {
-    "thickness": np.linspace(0.3e-3, 1.0e-3, 71),
-    "density": np.linspace(2000.0, 2600.0, 61),
-    "youngs_modulus": np.linspace(60e9, 80e9, 81),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,11 +62,17 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return format(float(value), ".12g")
+    number = float(value)
+    if not math.isfinite(number):
+        raise AnalysisError(f"result outside the model's range (got {number})")
+    return format(number, ".12g")
 
 
 def _row(*cells) -> str:
-    """One CSV row: strings as they are, None empty, bools true/false, numbers to 12 digits."""
+    """One CSV row: strings as they are, None empty, bools true/false, numbers to 12 digits.
+
+    A non-finite number raises :class:`AnalysisError`: no row prints ``inf`` or ``nan``.
+    """
     return ",".join(map(_cell, cells))
 
 
@@ -167,6 +167,8 @@ def _cmd_circuit(args, parser) -> list[str]:
 
 
 def _cmd_fit(args, parser) -> list[str]:
+    from . import bvdfit
+
     if args.demo:
         c0 = args.c0 if args.c0 is not None else 9.88e-9
         c = args.demo_c
@@ -260,6 +262,8 @@ def _parse_grid(args, parser, axis: str):
         parser.error(str(exc))
     if count < 1:
         parser.error("--grid COUNT must be >= 1")
+    import numpy as np
+
     return np.linspace(start, stop, count)
 
 
@@ -301,6 +305,8 @@ def _cmd_predict_power(args, parser) -> list[str]:
 
 
 def _cmd_reduce_traces(args, parser) -> list[str]:
+    from . import dataio
+
     lines = ["file,drive_frequency_hz,real_power_w,amplitude_m,rms_current_a,amplitude_low_confidence"]
     for path in args.inputs:
         traces = dataio.load_traces_csv(path, args.sample_rate, ldv_kind=args.ldv_kind)
@@ -319,10 +325,18 @@ def _cmd_reduce_traces(args, parser) -> list[str]:
 
 
 def _fig10_blocks() -> list[tuple[str, list[str]]]:
+    """The three sweeps of repro fig10, over the acceptance ranges for thickness/density/modulus."""
+    import numpy as np
+
+    grids = {
+        "thickness": np.linspace(0.3e-3, 1.0e-3, 71),
+        "density": np.linspace(2000.0, 2600.0, 61),
+        "youngs_modulus": np.linspace(60e9, 80e9, 81),
+    }
     base = materials.lookup("SLG_0.4")
     actuator = materials.default_actuator()
     blocks = []
-    for axis, grid in _FIG10_GRIDS.items():
+    for axis, grid in grids.items():
         rows = beam.sweep_amplification(base, actuator, axis, grid)
         blocks.append((axis, _sweep_lines(rows)))
     return blocks
@@ -517,7 +531,7 @@ def build_parser() -> _Parser:
     )
     sub.add_argument(
         "--ldv-kind",
-        choices=dataio.LDV_KINDS,
+        choices=units.LDV_KINDS,
         default="displacement",
         help="what the ldv column holds (displacement m, or velocity m/s)",
     )
@@ -545,15 +559,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = args.handler(args, args.subparser)
-    except ParseError as exc:
+    except (TpadlabError, OverflowError, ZeroDivisionError) as exc:
+        if not isinstance(exc, TpadlabError):  # a closed form left float range on finite input
+            kind = "overflow" if isinstance(exc, OverflowError) else "division by zero"
+            exc = AnalysisError(f"result outside the model's range ({kind})")
         print(f"tpadlab: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AnalysisError as exc:
-        print(f"tpadlab: error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
-    except TpadlabError as exc:
-        print(f"tpadlab: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_ANALYSIS if isinstance(exc, AnalysisError) else EXIT_PARSE
     if lines is None:  # handler wrote its own files (repro fig10 --out)
         return EXIT_OK
     text = "\n".join(lines) + "\n"

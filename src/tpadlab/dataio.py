@@ -32,6 +32,7 @@ from .errors import (
     MalformedTraceFile,
     NoLdvChannel,
 )
+from .units import LDV_KINDS
 
 # Band the drive tone is expected to fall in (Hz); devices resonate well
 # inside it, and the margins catch junk detections early.
@@ -39,8 +40,6 @@ EXPECTED_DRIVE_BAND_HZ = (15e3, 60e3)
 
 # A trace must cover at least this many periods of the band's low edge.
 MIN_PERIODS = 2
-
-LDV_KINDS = ("displacement", "velocity")
 
 # amplitude below this multiple of the per-bin noise floor is suspect
 LOW_CONFIDENCE_FLOOR_RATIO = 10.0

@@ -37,6 +37,9 @@ _INDUCTANCE = {"": 1.0, "h": 1.0, "mh": 1e-3, "uh": 1e-6}
 _VOLTAGE = {"": 1.0, "v": 1.0, "kv": 1e3, "mv": 1e-3}
 _VELOCITY = {"": 1.0, "m/s": 1.0, "mm/s": 1e-3, "cm/s": 1e-2}
 
+# what a vibrometer (LDV) channel carries: a displacement in m or a velocity in m/s
+LDV_KINDS = ("displacement", "velocity")
+
 
 def _parse(text: str, table: dict[str, float], kind: str, casefold: bool = True) -> float:
     match = _QUANTITY_RE.match(text)

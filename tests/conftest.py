@@ -1,6 +1,29 @@
+import collections
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tpadlab import cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+# ``python -m tpadlab.cli ARGV...`` as a child runs it, which then writes
+# the names in its sys.modules, as JSON, to the path given before ARGV.
+_CHILD = """
+import json, runpy, sys
+modules_out = sys.argv.pop(1)
+try:
+    runpy.run_module("tpadlab.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(modules_out, "w", encoding="utf-8") as handle:
+        json.dump(sorted(sys.modules), handle)
+"""
+
+ChildRun = collections.namedtuple("ChildRun", "code out err modules")
 
 
 @pytest.fixture
@@ -13,5 +36,26 @@ def run_cli(capsys):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code if isinstance(exc.code, int) else 1
         return code, capsys.readouterr().out
+
+    return run
+
+
+@pytest.fixture
+def run_cli_child(tmp_path):
+    """Run the CLI in a fresh interpreter; returns a ChildRun (exit code, stdout, stderr, module names)."""
+
+    def run(*argv):
+        modules_out = tmp_path / "modules.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(modules_out), *argv],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        modules = json.loads(modules_out.read_text(encoding="utf-8"))
+        return ChildRun(proc.returncode, proc.stdout, proc.stderr, modules)
 
     return run

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tpadlab import dataio
+from tpadlab import cli, dataio
+from tpadlab.errors import AnalysisError
 
 FS = 300e3
 
@@ -669,3 +670,41 @@ def test_unknown_subcommand(run_cli):
 def test_unknown_flag(run_cli):
     code, _ = run_cli("materials", "--frobnicate")
     assert code == 64
+
+
+# --- results outside the model's range ----------------------------------
+
+# finite inputs that pass every record check, yet leave float range inside a closed form
+OUT_OF_RANGE = {
+    "circuit-huge-frequency": (*CIRCUIT_ARGS, "--freq", "1e300"),
+    "velocity-subnormal-amplitude": ("friction", "--model", "velocity", "--freq", "30kHz", "--amp", "1e-320"),
+    "beam-tiny-thickness": ("beam", "--thickness", "1e-200", "--density", "2.5g/cm3", "--youngs-modulus", "70GPa"),
+    "circuit-huge-voltage": (*CIRCUIT_ARGS, "--voltage", "1e300"),
+    "squeeze-huge-amplitude": ("friction", "--model", "squeeze", "--amp", "1e200", "--u0", "1e-200", "--ps", "1"),
+    "circuit-tiny-motional-branch": (
+        "circuit", "--inductance", "1e-300", "--capacitance", "1e-300", "--resistance", "2150",
+        "--c0", "9.88nF", "--voltage", "10",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_result_outside_the_model_is_an_analysis_failure(run_cli_child, argv):
+    run = run_cli_child(*argv)
+    assert (run.code, run.out) == (3, "")
+    assert "Traceback" not in run.err
+    assert run.err.startswith("tpadlab: error: result outside the model's range (")
+    assert run.err.count("\n") == 1
+
+
+def test_no_numpy_warning_before_a_typed_error(run_cli_child):
+    # the one-line stderr of circuit-huge-frequency above already rules out its warning
+    run = run_cli_child("fit", "--demo", "--demo-c", "1e-300")
+    assert (run.code, run.out) == (2, "")
+    assert run.err == "tpadlab: error: spectrum contains non-finite values\n"
+
+
+def test_rows_hold_no_non_finite_number():
+    for value in (-math.inf, math.nan, np.float64("nan")):
+        with pytest.raises(AnalysisError, match="outside the model's range"):
+            cli._row("x", value)
