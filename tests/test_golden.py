@@ -1,7 +1,9 @@
 """Golden outputs of the command line tool.
 
 Every example command of the README, plus ``reduce-traces`` on a
-power-only capture and on all-zero captures with and without LDV, runs
+power-only capture and on all-zero captures with and without LDV, and a
+2001-point sweep and a ``--grid-values`` sweep whose cells print in
+exponent notation, runs
 in-process through ``cli.main`` in a fresh working directory that holds
 the inputs it names.  Its stdout must equal ``golden/<case>.stdout``
 byte for byte and its exit code ``golden/exit_codes.json``.  Files a
@@ -87,6 +89,16 @@ CASES = [
     ("fit_demo", ["fit", "--demo", "--demo-out", "demo_spectrum.csv"], None),
     ("beam_reference", ["beam", "--glass", "Gorilla_0.8", "--reference", "SLG_0.4"], None),
     ("beam_sweep", ["beam", "--glass", "SLG_0.4", "--sweep", "thickness", "--grid", "0.3mm:1mm:71"], None),
+    (
+        "beam_sweep_2001",
+        ["beam", "--glass", "Gorilla_0.8", "--sweep", "density", "--grid", "2g/cm3:2.6g/cm3:2001"],
+        None,
+    ),
+    (
+        "beam_sweep_exponent",
+        ["beam", "--glass", "SLG_0.4", "--sweep", "youngs_modulus", "--grid-values", "1e-12,1e-3,70GPa,5e12"],
+        None,
+    ),
     (
         "beam_explicit",
         ["beam", "--thickness", "0.5mm", "--density", "2.5g/cm3", "--youngs-modulus", "70GPa"],
