@@ -16,7 +16,6 @@ of the parameters, which enforces positivity without constraints.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .errors import (
     MalformedSpectrumFile,
     NoResonanceFound,
 )
+from .units import csv_table
 
 MIN_POINTS = 8
 
@@ -366,9 +366,5 @@ def load_impedance_csv(path) -> ImpedanceSpectrum:
 
 def save_impedance_csv(spectrum: ImpedanceSpectrum, handle) -> None:
     """Write a spectrum to an open text stream in the CSV interchange format."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(SPECTRUM_CSV_HEADER)
-    for freq, z in spectrum.points:
-        writer.writerow(
-            [format(freq, ".12g"), format(abs(z), ".12g"), format(math.degrees(cmath.phase(z)), ".12g")]
-        )
+    rows = [(freq, abs(z), math.degrees(cmath.phase(z))) for freq, z in spectrum.points]
+    handle.write("\n".join(csv_table(",".join(SPECTRUM_CSV_HEADER), rows)) + "\n")

@@ -26,12 +26,14 @@ inside a closed form).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 
 from . import beam, circuit, friction, materials, units
-from .errors import AnalysisError, TpadlabError
+from .errors import AnalysisError, TpadlabError, require_positive
+from .units import csv_table
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -55,32 +57,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    number = float(value)
-    if not math.isfinite(number):
-        raise AnalysisError(f"result outside the model's range (got {number})")
-    return format(number, ".12g")
-
-
-def _row(*cells) -> str:
-    """One CSV row: strings as they are, None empty, bools true/false, numbers to 12 digits.
-
-    A non-finite number raises :class:`AnalysisError`: no row prints ``inf`` or ``nan``.
-    """
-    return ",".join(map(_cell, cells))
-
-
 def _materials_csv_rows(glasses) -> list[str]:
-    lines = ["name,thickness_m,density_kg_m3,youngs_modulus_pa"]
-    for g in glasses:
-        lines.append(_row(g.name, g.thickness, g.density, g.youngs_modulus))
-    return lines
+    rows = [(g.name, g.thickness, g.density, g.youngs_modulus) for g in glasses]
+    return csv_table("name,thickness_m,density_kg_m3,youngs_modulus_pa", rows)
 
 
 def _extra_materials(args) -> list[materials.GlassSpec]:
@@ -94,10 +73,10 @@ def _extra_materials(args) -> list[materials.GlassSpec]:
 def _cmd_materials(args, parser) -> list[str]:
     if args.actuator:
         a = materials.default_actuator()
-        return [
+        return csv_table(
             "thickness_m,density_kg_m3,youngs_modulus_pa,static_capacitance_f",
-            _row(a.thickness, a.density, a.youngs_modulus, a.static_capacitance),
-        ]
+            [(a.thickness, a.density, a.youngs_modulus, a.static_capacitance)],
+        )
     extra = _extra_materials(args)
     if args.show:
         return _materials_csv_rows([materials.lookup(args.show, extra)])
@@ -117,21 +96,19 @@ def _cmd_friction(args, parser) -> list[str]:
         vib = friction.VibrationState(frequency=args.freq, amplitude=args.amp)
         mu = friction.relative_friction_velocity(vib, params)
         psi = "inf" if args.amp == 0 else friction.psi(vib, params)
-        return [
-            "model,frequency_hz,amplitude_m,psi,mu_prime",
-            _row("velocity", args.freq, args.amp, psi, mu),
-        ]
+        row = ("velocity", args.freq, args.amp, psi, mu)
+        return csv_table("model,frequency_hz,amplitude_m,psi,mu_prime", [row])
     if args.model == "squeeze":
         if args.amp is None or args.u0 is None or args.ps is None:
             parser.error("--model squeeze needs --amp, --u0 and --ps")
         params = friction.SqueezeFilmParams(u0=args.u0, ps=args.ps, p0=args.p0)
         mu = friction.relative_friction_squeeze(args.amp, params)
-        return ["model,amplitude_m,mu_prime", _row("squeeze", args.amp, mu)]
+        return csv_table("model,amplitude_m,mu_prime", [("squeeze", args.amp, mu)])
     # contour
     if args.freq is None:
         parser.error("--model contour needs --freq")
     alpha_um = friction.contour_amplitude(args.freq)
-    return ["model,frequency_hz,amplitude_um", _row("contour", args.freq, alpha_um)]
+    return csv_table("model,frequency_hz,amplitude_um", [("contour", args.freq, alpha_um)])
 
 
 def _cmd_circuit(args, parser) -> list[str]:
@@ -142,13 +119,12 @@ def _cmd_circuit(args, parser) -> list[str]:
         static_capacitance=args.c0,
     )
     if args.freq is not None:
+        require_positive(args, "--", "freq")
         z = circuit.impedance(params, args.freq)
         x0 = circuit.static_reactance_magnitude(args.c0, args.freq)
         x1 = circuit.motional_reactance(params, args.freq)
-        return [
-            "frequency_hz,x0_ohm,x1_ohm,z_real_ohm,z_imag_ohm,z_abs_ohm",
-            _row(args.freq, x0, x1, z.real, z.imag, abs(z)),
-        ]
+        row = (args.freq, x0, x1, z.real, z.imag, abs(z))
+        return csv_table("frequency_hz,x0_ohm,x1_ohm,z_real_ohm,z_imag_ohm,z_abs_ohm", [row])
     voltage = args.voltage
     if voltage is None:
         parser.error("--voltage is required unless --freq is given")
@@ -160,10 +136,8 @@ def _cmd_circuit(args, parser) -> list[str]:
         "frequency_hz,x0_ohm,x1_ohm,z_real_ohm,z_imag_ohm,z_abs_ohm,"
         "u_g_v,u_g_exact_v,i_g_a,delta_p_w"
     )
-    row = _row(
-        ev.frequency, ev.x0, ev.x1, ev.z.real, ev.z.imag, abs(ev.z), ev.u_g, ev.u_g_exact, ev.i_g, ev.delta_p
-    )
-    return [header, row]
+    row = (ev.frequency, ev.x0, ev.x1, ev.z.real, ev.z.imag, abs(ev.z))
+    return csv_table(header, [(*row, ev.u_g, ev.u_g_exact, ev.i_g, ev.delta_p)])
 
 
 def _cmd_fit(args, parser) -> list[str]:
@@ -198,17 +172,8 @@ def _cmd_fit(args, parser) -> list[str]:
         "inductance_h,capacitance_f,resistance_ohm,static_capacitance_f,"
         "resonant_frequency_hz,residual_norm,iterations,converged"
     )
-    row = _row(
-        p.inductance,
-        p.capacitance,
-        p.resistance,
-        p.static_capacitance,
-        circuit.resonant_frequency(p),
-        result.residual_norm,
-        result.iterations,
-        result.converged,
-    )
-    return [header, row]
+    row = (p.inductance, p.capacitance, p.resistance, p.static_capacitance, circuit.resonant_frequency(p))
+    return csv_table(header, [(*row, result.residual_norm, result.iterations, result.converged)])
 
 
 _AXIS_VALUE_PARSERS = {
@@ -268,7 +233,7 @@ def _parse_grid(args, parser, axis: str):
 
 
 def _sweep_lines(rows) -> list[str]:
-    return ["axis_value,n,n_squared"] + [_row(*row) for row in rows]
+    return csv_table("axis_value,n,n_squared", rows)
 
 
 def _cmd_beam(args, parser) -> list[str]:
@@ -286,16 +251,14 @@ def _cmd_beam(args, parser) -> list[str]:
         header += ",predicted_power_ratio"
         fields.append(beam.power_ratio(reference, glass, actuator))
         lines.append(MODEL_CONDITIONAL_NOTE)
-    return lines + [header, _row(*fields)]
+    return lines + csv_table(header, [fields])
 
 
 def _prediction_lines(glasses, reference, actuator) -> list[str]:
     n2_ref = beam.amplification_number(reference, actuator).n_squared
-    lines = [MODEL_CONDITIONAL_NOTE, "name,n_squared,predicted_power_ratio"]
-    for g in glasses:
-        n2 = beam.amplification_number(g, actuator).n_squared
-        lines.append(_row(g.name, n2, n2_ref / n2))
-    return lines
+    n2s = [(g.name, beam.amplification_number(g, actuator).n_squared) for g in glasses]
+    rows = [(name, n2, n2_ref / n2) for name, n2 in n2s]
+    return [MODEL_CONDITIONAL_NOTE, *csv_table("name,n_squared,predicted_power_ratio", rows)]
 
 
 def _cmd_predict_power(args, parser) -> list[str]:
@@ -307,21 +270,16 @@ def _cmd_predict_power(args, parser) -> list[str]:
 def _cmd_reduce_traces(args, parser) -> list[str]:
     from . import dataio
 
-    lines = ["file,drive_frequency_hz,real_power_w,amplitude_m,rms_current_a,amplitude_low_confidence"]
+    header = "file,drive_frequency_hz,real_power_w,amplitude_m,rms_current_a,amplitude_low_confidence"
+    rows = []
     for path in args.inputs:
         traces = dataio.load_traces_csv(path, args.sample_rate, ldv_kind=args.ldv_kind)
         if args.piezo_column == "source":
-            traces = dataio.TimeTraces(
-                sample_rate=traces.sample_rate,
-                v_piezo=traces.v_piezo - traces.v_shunt,
-                v_shunt=traces.v_shunt,
-                ldv=traces.ldv,
-                ldv_kind=traces.ldv_kind,
-            )
+            traces = dataclasses.replace(traces, v_piezo=traces.v_piezo - traces.v_shunt)
         s = dataio.summarize_trial(traces, args.shunt)
-        row = (path, s.drive_frequency, s.real_power, s.amplitude, s.rms_current, s.amplitude_low_confidence)
-        lines.append(_row(*row))
-    return lines
+        row = (path, s.drive_frequency, s.real_power, s.amplitude, s.rms_current)
+        rows.append((*row, s.amplitude_low_confidence))
+    return csv_table(header, rows)
 
 
 def _fig10_blocks() -> list[tuple[str, list[str]]]:
@@ -344,9 +302,8 @@ def _fig10_blocks() -> list[tuple[str, list[str]]]:
 
 def _cmd_repro(args, parser) -> list[str] | None:
     if args.figure == "fig4":
-        lines = ["frequency_hz,amplitude_um"]
-        lines += [_row(f, friction.contour_amplitude(f)) for f in _FIG4_FREQS_HZ]
-        return lines
+        rows = [(f, friction.contour_amplitude(f)) for f in _FIG4_FREQS_HZ]
+        return csv_table("frequency_hz,amplitude_um", rows)
     if args.figure == "fig11":
         reference = materials.lookup("SLG_0.4")
         return _prediction_lines(materials.material_library(), reference, materials.default_actuator())

@@ -1,4 +1,4 @@
-"""Unit-suffix parsing for command line inputs.
+"""Unit-suffix parsing for command line inputs, and the CSV table writer for outputs.
 
 All internal computation is strict SI (m, kg, s, Hz, Pa, F, Ohm, V, W).
 Conversions happen only here, at the program boundary.  Each parser
@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain, filterfalse
+
+from .errors import AnalysisError
 
 _QUANTITY_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
 
@@ -104,3 +107,48 @@ def parse_voltage(text: str) -> float:
 def parse_velocity(text: str) -> float:
     """Parse a velocity, returning m/s.  Suffixes: m/s, mm/s, cm/s."""
     return _parse(text, _VELOCITY, "velocity")
+
+
+_NUMBER = "%.12g"
+# chunks of cells whose text is fixed: "%.0s" takes the cell and prints nothing
+_LITERAL = {True: "true%.0s", False: "false%.0s", None: "%.0s"}
+
+
+def _chunk(cell) -> str:
+    """A cell's part of its row's ``%`` template."""
+    if cell is None or type(cell) is bool:
+        return _LITERAL[cell]
+    return "%s" if isinstance(cell, str) else _NUMBER
+
+
+def csv_table(header: str, rows) -> list[str]:
+    """The lines of a CSV table: ``header``, then one line per row of cells.
+
+    Strings pass as they are, None is empty, bools are ``true``/``false``
+    and numbers print to 12 significant digits in ``%g`` style.
+    Each row is rendered by one ``%`` template built from its cells' kinds;
+    when each column holds one kind of cell, other than bool, every row
+    gets the same template.
+
+    Raises:
+        AnalysisError: a number anywhere in the table is not finite, so no
+            line ever prints ``inf`` or ``nan``.
+        ValueError: the rows differ in length.
+    """
+    rows = [tuple(row) for row in rows]
+    columns = list(zip(*rows, strict=True))
+    shared = []  # per column: the chunk of all its cells, or None where it varies by cell
+    for column in columns:
+        kinds = set(map(type, column))
+        shared.append(_chunk(column[0]) if len(kinds) == 1 and bool not in kinds else None)
+    numbers = [  # the number columns, with 0.0 for the other cells of a varying column
+        column if chunk else [cell if _chunk(cell) == _NUMBER else 0.0 for cell in column]
+        for column, chunk in zip(columns, shared)
+        if chunk in (_NUMBER, None)
+    ]
+    if not all(map(math.isfinite, chain.from_iterable(numbers))):
+        bad = next(filterfalse(math.isfinite, chain.from_iterable(zip(*numbers))))  # the first, row by row
+        raise AnalysisError(f"result outside the model's range (got {float(bad)})")
+    if None not in shared:
+        return [header, *map(",".join(shared).__mod__, rows)]
+    return [header, *(",".join(c or _chunk(cell) for c, cell in zip(shared, row)) % row for row in rows)]

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tpadlab import circuit
 from tpadlab.errors import InvalidProperty
@@ -55,6 +58,24 @@ def test_impedance_matches_parallel_combination():
         z_closed = circuit.impedance(p, freqs)
         z_brute = parallel_combination(p, freqs)
         assert np.max(np.abs(z_closed - z_brute) / np.abs(z_brute)) < 1e-9
+
+
+LOG_UNIFORM = st.floats(-100.0, 100.0).map(lambda exponent: 10.0**exponent)
+
+
+@settings(database=None, deadline=None, max_examples=500)
+@given(l=LOG_UNIFORM, c=LOG_UNIFORM, r=LOG_UNIFORM, c0=LOG_UNIFORM, f=LOG_UNIFORM)
+def test_impedance_equals_the_brute_force_network(l, c, r, c0, f):
+    w = 2.0 * math.pi * f
+    z_static = 1.0 / complex(0.0, w * c0)
+    z_motional = r + complex(0.0, w * l) + 1.0 / complex(0.0, w * c)
+    try:
+        z_brute = z_static * z_motional / (z_static + z_motional)
+    except ZeroDivisionError:
+        z_brute = complex("nan")
+    z_closed = circuit.impedance(circuit.BvdParams(l, c, r, c0), f)
+    assume(cmath.isfinite(z_brute) and cmath.isfinite(z_closed) and z_brute != 0)
+    assert abs(z_closed - z_brute) <= 1e-12 * abs(z_brute)
 
 
 def test_motional_reactance_vanishes_at_resonance():

@@ -6,6 +6,7 @@ import pytest
 
 from tpadlab import cli, dataio
 from tpadlab.errors import AnalysisError
+from tpadlab.units import csv_table
 
 FS = 300e3
 
@@ -255,6 +256,15 @@ def test_circuit_rejects_infinite_voltage(run_cli):
 
 def test_circuit_rejects_infinite_frequency(run_cli):
     assert run_cli(*CIRCUIT_ARGS, "--freq", "1e999") == (64, "")
+
+
+@pytest.mark.parametrize("freq", ["-5", "0", "-0"])
+def test_circuit_rejects_a_non_positive_frequency(freq, capsys):
+    # -5 used to print a negative x0_ohm magnitude with exit 0, and 0 a division by zero with exit 3
+    assert cli.main([*CIRCUIT_ARGS, "--freq", freq]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"tpadlab: error: --freq must be positive and finite, got {float(freq)!r}\n"
 
 
 def test_circuit_rejects_bad_unit_suffix(run_cli):
@@ -707,4 +717,4 @@ def test_no_numpy_warning_before_a_typed_error(run_cli_child):
 def test_rows_hold_no_non_finite_number():
     for value in (-math.inf, math.nan, np.float64("nan")):
         with pytest.raises(AnalysisError, match="outside the model's range"):
-            cli._row("x", value)
+            csv_table("name,value", [("x", value)])

@@ -1,6 +1,12 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpadlab import units
+from tpadlab.errors import AnalysisError
 
 
 @pytest.mark.parametrize(
@@ -54,3 +60,72 @@ def test_unknown_suffix_rejected():
 def test_non_finite_value_rejected(parse, text):
     with pytest.raises(ValueError, match="is not finite"):
         parse(text)
+
+
+# --- CSV table writer ---------------------------------------------------
+
+
+def _reference_cell(value) -> str:
+    """The per-cell writer that the table writer replaced, kept as the reference."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    number = float(value)
+    if not math.isfinite(number):
+        raise AnalysisError(f"result outside the model's range (got {number})")
+    return format(number, ".12g")
+
+
+def _reference_row(*cells) -> str:
+    return ",".join(map(_reference_cell, cells))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # +-0.0, subnormals, up to +-1.8e308
+CELLS = {
+    "float": FINITE,
+    "int": st.integers(-(10**300), 10**300),
+    "float64": FINITE.map(np.float64),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "str": st.text(max_size=8),
+}
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan, np.float64("-inf"), np.float64("nan")])
+
+
+@st.composite
+def tables(draw, min_rows=0):
+    """Rows of one width; each column holds one kind of cell, or a mix of all kinds."""
+    kinds = draw(st.lists(st.sampled_from([*CELLS, "mixed"]), min_size=1, max_size=6))
+    columns = [CELLS.get(kind, st.one_of(*CELLS.values())) for kind in kinds]
+    return draw(st.lists(st.tuples(*columns), min_size=min_rows, max_size=12))
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(rows=tables())
+def test_table_lines_match_the_per_cell_reference(rows):
+    assert units.csv_table("header", rows) == ["header", *(_reference_row(*row) for row in rows)]
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(rows=tables(min_rows=1), data=st.data())
+def test_a_non_finite_number_fails_the_whole_table(rows, data):
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[i]) - 1))
+        rows[i] = rows[i][:j] + (data.draw(NON_FINITE),) + rows[i][j + 1 :]
+    with pytest.raises(AnalysisError) as expected:
+        for row in rows:
+            _reference_row(*row)
+    with pytest.raises(AnalysisError) as raised:
+        units.csv_table("header", rows)
+    assert str(raised.value) == str(expected.value)  # names the first non-finite number, row by row
+
+
+def test_table_writer_edges():
+    assert units.csv_table("header", []) == ["header"]
+    assert units.csv_table("a", [["%s", "100%"], ("x", 1.5)]) == ["a", "%s,100%", "x,1.5"]
+    with pytest.raises(ValueError):
+        units.csv_table("a,b", [(1.0, 2.0), (3.0,)])
