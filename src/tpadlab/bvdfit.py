@@ -236,6 +236,7 @@ def _jacobian(params: BvdParams, spectrum: ImpedanceSpectrum, shunt: float, fit_
     return np.concatenate([jc.real, jc.imag], axis=0)
 
 
+@np.errstate(all="ignore")  # a step that leaves float range has a non-finite cost and is rejected
 def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None = None) -> FitResult:
     """Recover (L, C, R) -- optionally C0 -- by damped Gauss-Newton.
 
@@ -279,11 +280,11 @@ def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None =
         while True:
             try:
                 step = np.linalg.solve(hess + lam * diag, -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
                 new_theta = theta + step
                 new_params = _params_from_theta(new_theta, c0, fit_c0)
+            except (np.linalg.LinAlgError, InvalidProperty):  # singular, or a parameter left float range
+                step = None
+            if step is not None:
                 new_res = _log_residual(new_params, spectrum, shunt)
                 new_cost = float(new_res @ new_res)
                 if np.isfinite(new_cost) and new_cost <= cost:
@@ -314,6 +315,7 @@ def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None =
     return FitResult(params=params, residual_norm=cost, iterations=iterations, converged=True)
 
 
+@np.errstate(all="ignore")  # a spectrum that leaves float range is rejected as non-finite
 def generate_spectrum(
     params: BvdParams,
     f_start: float | None = None,
@@ -330,6 +332,10 @@ def generate_spectrum(
     ``noise`` is the relative standard deviation of multiplicative
     complex Gaussian noise per quadrature (0.01 means 1%).
     """
+    if n_points < MIN_POINTS:
+        raise InvalidProperty(f"spectrum needs at least {MIN_POINTS} points, got {n_points}")
+    if seed is not None and seed < 0:
+        raise InvalidProperty(f"seed must be non-negative, got {seed}")
     f_r = resonant_frequency(params)
     f_lo = f_start if f_start is not None else 0.9 * f_r
     f_hi = f_stop if f_stop is not None else 1.1 * f_r

@@ -116,8 +116,8 @@ def impedance(p: BvdParams, frequency) -> complex:
     """
     import numpy as np
 
-    w = 2.0 * np.pi * np.asarray(frequency, dtype=float)
     with np.errstate(all="ignore"):
+        w = 2.0 * np.pi * np.asarray(frequency, dtype=float)
         x0 = -1.0 / (p.static_capacitance * w)
         x1 = p.inductance * w - 1.0 / (p.capacitance * w)
         r = p.resistance

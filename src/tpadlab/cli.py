@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -333,6 +334,7 @@ def _add_materials_file_flag(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="tpadlab", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from tpadlab.errors import AnalysisError
 from tpadlab.units import csv_table
 
 FS = 300e3
+GOLDEN = Path(__file__).parent / "golden"
 
 NOTE_PREFIX = "# model-conditional:"
 
@@ -348,6 +351,34 @@ def test_fit_iteration_cap_failure(run_cli):
     assert code == 3
 
 
+def test_fit_rejects_a_step_that_leaves_float_range(run_cli):
+    # trial steps from this start overflow exp(log L): they are rejected steps, not bad input
+    code, out = run_cli("fit", "--demo", "--demo-c", "1", "--demo-r", "1", "--points", "9")
+    assert code == 0
+    assert cells(rows(out)[1])[7] == "true"
+
+
+# fit --demo flags that once raised a traceback or printed a numpy warning
+FIT_DEMO_EDGES = {
+    "negative-points": (("--points", "-1"), 2, "spectrum needs at least 8 points, got -1"),
+    "negative-seed": (("--seed", "-1"), 2, "seed must be non-negative, got -1"),
+    "noise-out-of-range": (("--demo-c", "1", "--noise", "1e307"), 2, "spectrum contains non-finite values"),
+    "start-out-of-range": (
+        ("--c0", "1e207", "--noise", "7e93", "--points", "12", "--seed", "3"),
+        3,
+        "objective is not finite at the starting point",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags,code,message", FIT_DEMO_EDGES.values(), ids=FIT_DEMO_EDGES.keys())
+def test_fit_demo_edge_is_one_typed_error(capsys, flags, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fit", "--demo", *flags]) == code
+    assert capsys.readouterr() == ("", f"tpadlab: error: {message}\n")
+
+
 # --- beam ---------------------------------------------------------------
 
 
@@ -682,11 +713,26 @@ def test_unknown_flag(run_cli):
     assert code == 64
 
 
+def test_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_flags_do_not_carry_over_between_calls(run_cli):
+    point = ("friction", "--model", "velocity", "--freq", "30kHz", "--amp", "3um")
+    code, changed = run_cli(*point, "--mu0", "0.5")
+    assert code == 0
+    code, default = run_cli(*point)
+    assert code == 0
+    assert default == (GOLDEN / "friction_velocity.stdout").read_text()
+    assert changed != default
+
+
 # --- results outside the model's range ----------------------------------
 
 # finite inputs that pass every record check, yet leave float range inside a closed form
 OUT_OF_RANGE = {
     "circuit-huge-frequency": (*CIRCUIT_ARGS, "--freq", "1e300"),
+    "circuit-top-of-range-frequency": (*CIRCUIT_ARGS, "--freq", "1e308"),
     "velocity-subnormal-amplitude": ("friction", "--model", "velocity", "--freq", "30kHz", "--amp", "1e-320"),
     "beam-tiny-thickness": ("beam", "--thickness", "1e-200", "--density", "2.5g/cm3", "--youngs-modulus", "70GPa"),
     "circuit-huge-voltage": (*CIRCUIT_ARGS, "--voltage", "1e300"),

@@ -8,7 +8,10 @@ in-process through ``cli.main`` in a fresh working directory that holds
 the inputs it names.  Its stdout must equal ``golden/<case>.stdout``
 byte for byte and its exit code ``golden/exit_codes.json``.  Files a
 case writes (``fit --demo-out``, ``repro fig10 --out``) must equal the
-files under ``golden/<case>/``, and no others may appear there.
+files under ``golden/<case>/``, and no others may appear there.  The
+cases also run once more in one process, in reverse order, each after a
+usage error and an analysis failure, to show that no call leaves state
+in the parser for the next.
 
 The inputs are built here without randomness: the spectrum comes from
 ``fit --demo --demo-out``, and the captures are sums of sinusoids
@@ -131,20 +134,21 @@ def _written_files(root):
     return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*") if p.is_file())
 
 
-@pytest.mark.parametrize("name,argv,build", CASES, ids=[case[0] for case in CASES])
-def test_cli_output_matches_golden(name, argv, build, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("TPADLAB_MATERIALS", raising=False)
-    workdir = tmp_path / "run"
+def _run(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _check_case(name, argv, build, workdir, monkeypatch, capsys):
     workdir.mkdir()
     monkeypatch.chdir(workdir)
     if build is not None:
         build()
     inputs = set(_written_files(workdir))
     capsys.readouterr()
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = _run(argv)
     out = capsys.readouterr().out.encode("utf-8")
 
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
@@ -155,6 +159,30 @@ def test_cli_output_matches_golden(name, argv, build, tmp_path, monkeypatch, cap
     assert written == expected
     for path in expected:
         assert (workdir / path).read_bytes() == (expected_dir / path).read_bytes(), path
+
+
+@pytest.mark.parametrize("name,argv,build", CASES, ids=[case[0] for case in CASES])
+def test_cli_output_matches_golden(name, argv, build, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TPADLAB_MATERIALS", raising=False)
+    _check_case(name, argv, build, tmp_path / "run", monkeypatch, capsys)
+
+
+def test_golden_outputs_hold_in_one_process_in_reverse_order(tmp_path, monkeypatch, capsys):
+    # cli.main reuses one parser per process; no call may leave state for the next
+    monkeypatch.delenv("TPADLAB_MATERIALS", raising=False)
+    # both set flags that the golden cases leave at their defaults
+    usage_error = [
+        "beam", "--thickness", "1mm", "--density", "2g/cm3", "--youngs-modulus", "60GPa",
+        "--actuator-thickness", "1mm", "--sweep", "thickness",
+    ]  # no --grid
+    analysis_error = [
+        "friction", "--model", "velocity", "--freq", "30kHz", "--amp", "1e-320", "--mu0", "0.9", "--psi-star", "2",
+    ]
+    for name, argv, build in reversed(CASES):
+        assert _run(usage_error) == 64
+        assert _run(analysis_error) == 3
+        assert capsys.readouterr().out == ""
+        _check_case(name, argv, build, tmp_path / name, monkeypatch, capsys)
 
 
 def test_every_golden_file_belongs_to_a_case():
