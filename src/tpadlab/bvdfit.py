@@ -331,6 +331,10 @@ def generate_spectrum(
     include both the dip and the peak for any C/C0 ratio up to ~0.2.
     ``noise`` is the relative standard deviation of multiplicative
     complex Gaussian noise per quadrature (0.01 means 1%).
+
+    Raises:
+        InvalidProperty: fewer than :data:`MIN_POINTS` points, a negative
+            seed, or a spectrum that leaves float range.
     """
     if n_points < MIN_POINTS:
         raise InvalidProperty(f"spectrum needs at least {MIN_POINTS} points, got {n_points}")

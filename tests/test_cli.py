@@ -358,7 +358,7 @@ def test_fit_rejects_a_step_that_leaves_float_range(run_cli):
     assert cells(rows(out)[1])[7] == "true"
 
 
-# fit --demo flags that once raised a traceback or printed a numpy warning
+# fit --demo flags outside what the demo spectrum or the fit can take: one typed error, no numpy warning
 FIT_DEMO_EDGES = {
     "negative-points": (("--points", "-1"), 2, "spectrum needs at least 8 points, got -1"),
     "negative-seed": (("--seed", "-1"), 2, "seed must be non-negative, got -1"),

@@ -22,10 +22,9 @@ from tpadlab import beam, cli
 EXIT_CODES = {0, 2, 3, 64}
 
 MAGNITUDES = st.floats(min_value=-320.0, max_value=308.0).map(lambda e: 10.0**e)
-VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(lambda m, sign: sign * m, MAGNITUDES, st.sampled_from([1.0, -1.0])),
-)
+# mostly positive, so that runs with several flags still reach exit 0 often
+SIGNS = st.sampled_from([1.0] * 8 + [-1.0, 0.0, -0.0])
+VALUES = st.builds(lambda m, sign: sign * m, MAGNITUDES, SIGNS)
 
 
 def _flags(required, optional=()):
