@@ -23,12 +23,7 @@ import numpy as np
 
 from .circuit import BvdParams, impedance, resonant_frequency
 from .dataio import _read_csv_table
-from .errors import (
-    FitNotConverged,
-    InvalidProperty,
-    MalformedSpectrumFile,
-    NoResonanceFound,
-)
+from .errors import FitNotConverged, InvalidProperty, MalformedSpectrumFile, NoResonanceFound, require_positive
 from .units import csv_table
 
 MIN_POINTS = 8
@@ -120,6 +115,10 @@ class FitOptions:
     fit_static_capacitance: bool = False
     shunt_resistance: float = 0.0
     initial: BvdParams | None = None
+
+    def __post_init__(self):
+        require_positive(self, "fit ", "max_iterations")
+        require_positive(self, "fit ", "shunt_resistance", allow_zero=True)
 
 
 def model_impedance(params: BvdParams, frequencies, shunt_resistance: float = 0.0):
@@ -371,7 +370,9 @@ def load_impedance_csv(path) -> ImpedanceSpectrum:
 
     values = _read_csv_table(path, check_header, MalformedSpectrumFile, "spectrum", positive=(1, "magnitude"))
     freq, mag, phase_deg = values[np.argsort(values[:, 0], kind="stable")].T
-    return ImpedanceSpectrum(frequencies=freq, impedances=mag * np.exp(1j * np.radians(phase_deg)))
+    with np.errstate(all="ignore"):  # an inf or nan cell: ImpedanceSpectrum rejects the result
+        impedances = mag * np.exp(1j * np.radians(phase_deg))
+    return ImpedanceSpectrum(frequencies=freq, impedances=impedances)
 
 
 def save_impedance_csv(spectrum: ImpedanceSpectrum, handle) -> None:

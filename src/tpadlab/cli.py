@@ -145,7 +145,7 @@ def _cmd_fit(args, parser) -> list[str]:
     from . import bvdfit
 
     if args.demo:
-        c0 = args.c0 if args.c0 is not None else 9.88e-9
+        c0 = args.c0 if args.c0 is not None else materials.default_actuator().static_capacitance
         c = args.demo_c
         l = 1.0 / ((2.0 * math.pi * args.demo_fr) ** 2 * c)
         truth = circuit.BvdParams(l, c, args.demo_r, c0)
@@ -196,17 +196,9 @@ def _resolve_glass(args, parser) -> materials.GlassSpec:
 
 
 def _resolve_actuator(args) -> materials.ActuatorSpec:
-    base = materials.default_actuator()
-    return materials.ActuatorSpec(
-        thickness=args.actuator_thickness if args.actuator_thickness is not None else base.thickness,
-        density=args.actuator_density if args.actuator_density is not None else base.density,
-        youngs_modulus=(
-            args.actuator_youngs_modulus
-            if args.actuator_youngs_modulus is not None
-            else base.youngs_modulus
-        ),
-        static_capacitance=base.static_capacitance,
-    )
+    fields = ("thickness", "density", "youngs_modulus")
+    given = {f: getattr(args, f"actuator_{f}") for f in fields if getattr(args, f"actuator_{f}") is not None}
+    return dataclasses.replace(materials.default_actuator(), **given)
 
 
 def _parse_grid(args, parser, axis: str):
@@ -256,9 +248,8 @@ def _cmd_beam(args, parser) -> list[str]:
 
 
 def _prediction_lines(glasses, reference, actuator) -> list[str]:
-    n2_ref = beam.amplification_number(reference, actuator).n_squared
-    n2s = [(g.name, beam.amplification_number(g, actuator).n_squared) for g in glasses]
-    rows = [(name, n2, n2_ref / n2) for name, n2 in n2s]
+    ratios = [beam.power_ratio(reference, g, actuator) for g in glasses]
+    rows = [(g.name, beam.amplification_number(g, actuator).n_squared, r) for g, r in zip(glasses, ratios)]
     return [MODEL_CONDITIONAL_NOTE, *csv_table("name,n_squared,predicted_power_ratio", rows)]
 
 
@@ -269,22 +260,25 @@ def _cmd_predict_power(args, parser) -> list[str]:
 
 
 def _cmd_reduce_traces(args, parser) -> list[str]:
+    import numpy as np
+
     from . import dataio
 
     header = "file,drive_frequency_hz,real_power_w,amplitude_m,rms_current_a,amplitude_low_confidence"
     rows = []
     for path in args.inputs:
         traces = dataio.load_traces_csv(path, args.sample_rate, ldv_kind=args.ldv_kind)
-        if args.piezo_column == "source":
-            traces = dataclasses.replace(traces, v_piezo=traces.v_piezo - traces.v_shunt)
-        s = dataio.summarize_trial(traces, args.shunt)
+        with np.errstate(all="ignore"):  # samples near float range give inf or nan, a typed error below
+            if args.piezo_column == "source":
+                traces = dataclasses.replace(traces, v_piezo=traces.v_piezo - traces.v_shunt)
+            s = dataio.summarize_trial(traces, args.shunt)
         row = (path, s.drive_frequency, s.real_power, s.amplitude, s.rms_current)
         rows.append((*row, s.amplitude_low_confidence))
     return csv_table(header, rows)
 
 
 def _fig10_blocks() -> list[tuple[str, list[str]]]:
-    """The three sweeps of repro fig10, over the acceptance ranges for thickness/density/modulus."""
+    """repro fig10's three sweeps over the acceptance ranges, each headed by its ``# axis=`` line."""
     import numpy as np
 
     grids = {
@@ -297,7 +291,7 @@ def _fig10_blocks() -> list[tuple[str, list[str]]]:
     blocks = []
     for axis, grid in grids.items():
         rows = beam.sweep_amplification(base, actuator, axis, grid)
-        blocks.append((axis, _sweep_lines(rows)))
+        blocks.append((axis, [f"# axis={axis} base=SLG_0.4", *_sweep_lines(rows)]))
     return blocks
 
 
@@ -316,13 +310,9 @@ def _cmd_repro(args, parser) -> list[str] | None:
         for axis, lines in blocks:
             path = os.path.join(args.out, f"fig10_{axis}.csv")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join([f"# axis={axis} base=SLG_0.4"] + lines) + "\n")
+                handle.write("\n".join(lines) + "\n")
         return None
-    out: list[str] = []
-    for axis, lines in blocks:
-        out.append(f"# axis={axis} base=SLG_0.4")
-        out.extend(lines)
-    return out
+    return [line for _, lines in blocks for line in lines]
 
 
 def _add_materials_file_flag(sub) -> None:

@@ -71,9 +71,10 @@ class TimeTraces:
                 f"sample_rate must exceed {2.0 * EXPECTED_DRIVE_BAND_HZ[1]:.0f} Hz "
                 f"(twice the highest expected drive frequency), got {self.sample_rate!r}"
             )
-        v_piezo = np.asarray(self.v_piezo, dtype=float)
-        v_shunt = np.asarray(self.v_shunt, dtype=float)
-        ldv = None if self.ldv is None else np.asarray(self.ldv, dtype=float)
+        # the record's own contiguous, read-only copy of each channel
+        v_piezo = np.array(self.v_piezo, dtype=float)
+        v_shunt = np.array(self.v_shunt, dtype=float)
+        ldv = None if self.ldv is None else np.array(self.ldv, dtype=float)
         series = [v_piezo, v_shunt] + ([ldv] if ldv is not None else [])
         if any(s.ndim != 1 for s in series):
             raise InvalidProperty("trace channels must be 1-d series")
@@ -96,8 +97,8 @@ class TimeTraces:
                 )
         elif self.ldv_kind is not None:
             raise InvalidProperty("ldv_kind given without an ldv channel")
-        for array in (v_piezo, v_shunt) + ((ldv,) if ldv is not None else ()):
-            array.setflags(write=False)
+        for s in series:
+            s.setflags(write=False)
         object.__setattr__(self, "v_piezo", v_piezo)
         object.__setattr__(self, "v_shunt", v_shunt)
         object.__setattr__(self, "ldv", ldv)
@@ -232,8 +233,7 @@ def load_traces_csv(path, sample_rate: float, ldv_kind: str | None = None) -> Ti
         if len(header) == 3 and ldv_kind is None:
             raise ValueError(f"{path} has an ldv column; pass ldv_kind explicitly")
 
-    # a contiguous copy per channel: column views are strided
-    v_piezo, v_shunt, *ldv = _read_csv_table(path, check_header, MalformedTraceFile, "trace").T.copy()
+    v_piezo, v_shunt, *ldv = _read_csv_table(path, check_header, MalformedTraceFile, "trace").T
     return TimeTraces(sample_rate, v_piezo, v_shunt, ldv[0] if ldv else None, ldv_kind if ldv else None)
 
 
@@ -267,14 +267,16 @@ def detect_drive_frequency(traces: TimeTraces) -> float:
     return float(frequency)
 
 
-def _integer_period_length(n: int, sample_rate: float, frequency: float) -> int:
-    """Largest sample count <= n covering a whole number of periods."""
+def _integer_period_length(traces: TimeTraces, drive_frequency: float | None) -> tuple[float, int]:
+    """The drive frequency (detected from v_piezo when None) and the largest
+    sample count <= len(traces) covering a whole number of its periods."""
+    frequency = drive_frequency if drive_frequency is not None else detect_drive_frequency(traces)
     if not frequency > 0:
         raise InvalidProperty(f"drive_frequency must be positive, got {frequency!r}")
-    periods = int(np.floor(n * frequency / sample_rate))
+    periods = int(np.floor(len(traces) * frequency / traces.sample_rate))
     if periods < 1:
         raise InsufficientSamples(f"trace covers less than one period of {frequency:.1f} Hz")
-    return min(n, int(round(periods * sample_rate / frequency)))
+    return frequency, min(len(traces), int(round(periods * traces.sample_rate / frequency)))
 
 
 def real_power_from_traces(
@@ -288,8 +290,7 @@ def real_power_from_traces(
     """
     if not shunt_resistance > 0:
         raise InvalidProperty(f"shunt_resistance must be positive, got {shunt_resistance!r}")
-    frequency = drive_frequency if drive_frequency is not None else detect_drive_frequency(traces)
-    m = _integer_period_length(len(traces), traces.sample_rate, frequency)
+    _, m = _integer_period_length(traces, drive_frequency)
     current = traces.v_shunt[:m] / shunt_resistance
     return float(np.mean(traces.v_piezo[:m] * current))
 
@@ -312,8 +313,7 @@ def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None)
     """
     if traces.ldv is None:
         raise NoLdvChannel("traces have no ldv channel")
-    frequency = drive_frequency if drive_frequency is not None else detect_drive_frequency(traces)
-    m = _integer_period_length(len(traces), traces.sample_rate, frequency)
+    frequency, m = _integer_period_length(traces, drive_frequency)
     x = traces.ldv[:m] - np.mean(traces.ldv[:m])
     phase = np.exp(-2j * np.pi * frequency / traces.sample_rate * np.arange(m))
     amplitude = 2.0 * np.abs(np.sum(x * phase)) / m

@@ -154,6 +154,22 @@ def test_iteration_cap_reports_best_effort():
     assert np.isfinite(best.residual_norm)
 
 
+@pytest.mark.parametrize(
+    "knobs,message",
+    [
+        ({"max_iterations": 0}, "fit max_iterations must be positive and finite, got 0"),
+        ({"max_iterations": -1}, "fit max_iterations must be positive and finite, got -1"),
+        ({"shunt_resistance": -5.0}, "fit shunt_resistance must be >= 0 and finite, got -5.0"),
+        ({"shunt_resistance": math.nan}, "fit shunt_resistance must be >= 0 and finite, got nan"),
+    ],
+    ids=["zero-iterations", "negative-iterations", "negative-shunt", "nan-shunt"],
+)
+def test_fit_options_reject_out_of_range_knobs(knobs, message):
+    with pytest.raises(InvalidProperty) as info:
+        bvdfit.FitOptions(**knobs)
+    assert str(info.value) == message
+
+
 def test_explicit_start_is_honored():
     truth = params_for(30e3, 2150.0, 1e-9)
     spectrum = bvdfit.generate_spectrum(truth, n_points=64)

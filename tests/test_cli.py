@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpadlab import cli, dataio
+from tpadlab import beam, cli, dataio, materials
 from tpadlab.errors import AnalysisError
 from tpadlab.units import csv_table
 
@@ -107,6 +107,33 @@ def test_materials_extra_shadows_builtin(run_cli, tmp_path):
     code, out = run_cli("materials", "--show", "SLG_0.4", "--file", extra)
     assert code == 0
     assert float(cells(rows(out)[1])[2]) == 9999.0
+
+
+_GOOD_RECORD = {"name": "Custom_1.0", "thickness_m": 1e-3, "density_kg_m3": 2500.0, "youngs_modulus_pa": 70e9}
+
+# material files that are JSON but not a list of glass records; each message names the first fault
+MATERIAL_SCHEMA_ERRORS = {
+    "not-an-array": (_GOOD_RECORD, "material file {path} must contain a top-level array"),
+    "entry-not-an-object": ([_GOOD_RECORD, ["Custom_2.0"]], "{path}: entry 1 is not an object"),
+    "name-not-a-string": ([dict(_GOOD_RECORD, name=7)], "{path}: entry 0 name must be a string"),
+    "value-is-a-string": (
+        [dict(_GOOD_RECORD, density_kg_m3="2500")],
+        "{path}: entry 0 key 'density_kg_m3' must be a number",
+    ),
+    "value-is-a-bool": (
+        [dict(_GOOD_RECORD, youngs_modulus_pa=True)],
+        "{path}: entry 0 key 'youngs_modulus_pa' must be a number",
+    ),
+    "empty-name": ([dict(_GOOD_RECORD, name="")], "glass name must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("payload,message", MATERIAL_SCHEMA_ERRORS.values(), ids=MATERIAL_SCHEMA_ERRORS.keys())
+def test_materials_file_schema_error(capsys, tmp_path, payload, message):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["materials", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"tpadlab: error: {message.format(path=path)}\n")
 
 
 def test_materials_malformed_file(run_cli, tmp_path):
@@ -363,6 +390,9 @@ FIT_DEMO_EDGES = {
     "negative-points": (("--points", "-1"), 2, "spectrum needs at least 8 points, got -1"),
     "negative-seed": (("--seed", "-1"), 2, "seed must be non-negative, got -1"),
     "noise-out-of-range": (("--demo-c", "1", "--noise", "1e307"), 2, "spectrum contains non-finite values"),
+    "zero-max-iter": (("--max-iter", "0"), 2, "fit max_iterations must be positive and finite, got 0"),
+    "negative-max-iter": (("--max-iter", "-1"), 2, "fit max_iterations must be positive and finite, got -1"),
+    "negative-shunt": (("--include-shunt", "-5"), 2, "fit shunt_resistance must be >= 0 and finite, got -5.0"),
     "start-out-of-range": (
         ("--c0", "1e207", "--noise", "7e93", "--points", "12", "--seed", "3"),
         3,
@@ -377,6 +407,17 @@ def test_fit_demo_edge_is_one_typed_error(capsys, flags, code, message):
         warnings.simplefilter("error")
         assert cli.main(["fit", "--demo", *flags]) == code
     assert capsys.readouterr() == ("", f"tpadlab: error: {message}\n")
+
+
+def test_fit_input_with_an_infinite_cell_is_one_typed_error(capsys, tmp_path):
+    lines = ["frequency_hz,magnitude_ohm,phase_deg"] + [f"{29000 + 100 * k},{1000 + k},-80" for k in range(12)]
+    lines[5] = "29400,inf,0"
+    path = tmp_path / "spectrum.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fit", "--input", str(path), "--c0", "9.88nF"]) == 2
+    assert capsys.readouterr() == ("", "tpadlab: error: spectrum contains non-finite values\n")
 
 
 # --- beam ---------------------------------------------------------------
@@ -412,6 +453,40 @@ def test_beam_explicit_properties_match_library(run_cli):
     custom = cells(rows(out)[1])
     assert custom[0] == "custom"
     assert float(custom[5]) == pytest.approx(lib_n, rel=1e-12)
+
+
+BEAM_HEADER = "name,d1_prime_pa_m3,d2_per_width_pa_m3,beta_a_per_m,beta_p_per_m,n,n_squared"
+
+# each --actuator-* flag replaces its own field of the builtin actuator record and leaves the rest
+ACTUATOR_OVERRIDES = {
+    "thickness": (("--actuator-thickness", "5e-4"), {"thickness": 5e-4}),
+    "density": (("--actuator-density", "7500"), {"density": 7500.0}),
+    "youngs-modulus": (("--actuator-youngs-modulus", "6e10"), {"youngs_modulus": 6e10}),
+    "all": (
+        ("--actuator-thickness", "5e-4", "--actuator-density", "7500", "--actuator-youngs-modulus", "6e10"),
+        {"thickness": 5e-4, "density": 7500.0, "youngs_modulus": 6e10},
+    ),
+}
+
+
+def _beam_row(glass, actuator):
+    r = beam.amplification_number(glass, actuator)
+    return (glass.name, r.d1_prime, r.d2_per_width, r.beta_a, r.beta_p, r.n, r.n_squared)
+
+
+@pytest.mark.parametrize("flags,fields", ACTUATOR_OVERRIDES.values(), ids=ACTUATOR_OVERRIDES.keys())
+def test_beam_actuator_overrides(run_cli, flags, fields):
+    base = materials.default_actuator()
+    actuator = materials.ActuatorSpec(
+        thickness=fields.get("thickness", base.thickness),
+        density=fields.get("density", base.density),
+        youngs_modulus=fields.get("youngs_modulus", base.youngs_modulus),
+        static_capacitance=base.static_capacitance,
+    )
+    glass = materials.lookup("SLG_0.4")
+    expected = csv_table(BEAM_HEADER, [_beam_row(glass, actuator)])
+    assert expected != csv_table(BEAM_HEADER, [_beam_row(glass, base)])  # the override shows in the row
+    assert run_cli("beam", "--glass", "SLG_0.4", *flags) == (0, "\n".join(expected) + "\n")
 
 
 def test_beam_rejects_infinite_thickness(run_cli):
@@ -497,6 +572,15 @@ def test_predict_power_other_reference(run_cli):
     by_name = {cells(line)[0]: cells(line) for line in data_rows(out)[1:]}
     assert float(by_name["Gorilla_0.8"][2]) == pytest.approx(1.0, rel=1e-12)
     assert float(by_name["SLG_0.4"][2]) == pytest.approx(1.0 / 2.747167344344283, rel=1e-10)
+
+
+def test_prediction_ratio_cell_is_power_ratio():
+    glasses, actuator = materials.material_library(), materials.default_actuator()
+    for reference in glasses:
+        lines = cli._prediction_lines(glasses, reference, actuator)
+        for glass, line in zip(glasses, lines[2:], strict=True):
+            expected = csv_table("predicted_power_ratio", [(beam.power_ratio(reference, glass, actuator),)])
+            assert cells(line)[2] == expected[1], (reference.name, glass.name)
 
 
 # --- reduce-traces ------------------------------------------------------
@@ -636,6 +720,16 @@ def test_reduce_traces_non_finite_sample(run_cli, tmp_path):
     code, out = run_cli("reduce-traces", path, "--sample-rate", "300kHz")
     assert code == 2
     assert out == ""
+
+
+def test_reduce_traces_near_float_range_is_one_typed_error(capsys, tmp_path):
+    # v*i and v_shunt**2 overflow: the sums are inf, and no table prints inf
+    v_piezo, v_shunt, ldv = _tone_columns(n=3000)
+    path = _write_trace_csv(tmp_path / "huge.csv", 1e154 * v_piezo, 1e154 * v_shunt, 1e154 * ldv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["reduce-traces", path, "--sample-rate", "300kHz"]) == 3
+    assert capsys.readouterr() == ("", "tpadlab: error: result outside the model's range (got inf)\n")
 
 
 # --- repro --------------------------------------------------------------

@@ -1,23 +1,29 @@
-"""Fuzz of the CLI's numeric flags.
+"""Fuzz of the CLI's numeric flags and input files.
 
 Every command runs in-process through ``cli.main`` with warnings raised
 as errors.  Flag values are drawn log-uniformly from about 1e-320 to
-1e308, with either sign, and exact 0 and -0 mixed in.  Whatever the
-values, the run must end in a documented exit code (0, 2, 3 or 64) and
-raise nothing else; on exit 0 every number cell must be finite.  The
-one documented exception is the ``psi`` cell of ``friction --model
-velocity`` at zero amplitude, which prints ``inf``.
+1e308, with either sign, and exact 0 and -0 mixed in.  Input files are
+trace and spectrum CSVs whose cells mix numbers with odd cells (``nan``,
+``1e999``, quoted or empty cells, non-ASCII digits...) and raw bytes,
+and material JSON files with wrong keys, wrong types and ``Infinity``.
+Whatever the inputs, the run must end in a documented exit code (0, 2,
+3 or 64) and raise nothing else; on exit 0 every number cell must be
+finite.  The one documented exception is the ``psi`` cell of
+``friction --model velocity`` at zero amplitude, which prints ``inf``.
 """
 
 import contextlib
 import io
+import json
 import math
 import warnings
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpadlab import beam, cli
+from tpadlab import beam, bvdfit, circuit, cli
 
 EXIT_CODES = {0, 2, 3, 64}
 
@@ -64,12 +70,126 @@ _GRID = st.builds(
     VALUES,
     st.integers(min_value=-1, max_value=5),
 )
-BEAM = st.one_of(_argv(["beam"], _GLASS), _argv(["beam"], _GLASS, _GRID))
+_GRID_VALUES = st.builds(
+    lambda axis, values: ["--sweep", axis, "--grid-values=" + ",".join(map(repr, values))],
+    st.sampled_from(beam.SWEEP_AXES),
+    st.lists(VALUES, min_size=1, max_size=4),
+)
+BEAM = st.one_of(_argv(["beam"], _GLASS), _argv(["beam"], _GLASS, _GRID), _argv(["beam"], _GLASS, _GRID_VALUES))
+
+# fit flags that apply with --input as well as with --demo
+_FIT_OPTIONS = st.tuples(
+    _flags([], ["--include-shunt"]),
+    st.one_of(st.just([]), st.integers(-2, 60).map(lambda n: [f"--max-iter={n}"])),
+    st.sampled_from([[], ["--fit-c0"]]),
+).map(lambda lists: [flag for flags in lists for flag in flags])
 
 FIT = _argv(
     ["fit", "--demo"],
     st.builds(lambda n, seed: [f"--points={n}", f"--seed={seed}"], st.integers(-1, 12), st.integers(-1, 3)),
     _flags([], ["--c0", "--demo-fr", "--demo-c", "--demo-r", "--noise"]),
+    _FIT_OPTIONS,
+)
+
+# --- input files ----------------------------------------------------------
+
+# cells that float, np.loadtxt or the CSV module may read otherwise than a plain number
+ODD_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "1e-320", "", '"1"', '"1,2"', "1_0", "#", "\x1c1", "\u0661", " 1 "]
+)
+
+# how many odd cells or runs of raw bytes one file gets: mostly none, so that some runs get through
+FEW = st.sampled_from([0, 0, 0, 1, 2])
+
+
+def _splice_bytes(draw, data):
+    """``data`` with a few runs of raw random bytes inserted."""
+    for _ in range(draw(FEW)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+def _csv_bytes(draw, header, rows):
+    """CSV bytes of ``rows`` (lists of floats), with a few cells made odd and raw bytes spliced in."""
+    cells = [[repr(v) for v in row] for row in rows]
+    for _ in range(draw(FEW) if cells else 0):
+        row = draw(st.sampled_from(cells))
+        row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return _splice_bytes(draw, newline.join([header, *map(",".join, cells)]).encode("utf-8"))
+
+
+@st.composite
+def trace_files(draw):
+    """A capture of a drive tone sampled at 300 kHz, of 30 to 120 rows (that rate needs 40)."""
+    headers = ["v_piezo,v_shunt", "v_piezo,v_shunt,ldv"] * 3 + ["v_piezo", "v_piezo,v_shunt,ldv,x"]
+    header = draw(st.sampled_from(headers))
+    width = len(header.split(","))
+    n = draw(st.integers(30, 120))
+    frequency = draw(st.floats(10e3, 70e3))
+    scale = draw(st.one_of(st.just(1.0), VALUES))
+    t = np.arange(n) / 300e3
+    columns = [scale * np.sin(2 * math.pi * frequency * t + phase) for phase in (0.0, -1.0, 0.4, 2.0)[:width]]
+    return _csv_bytes(draw, header, np.array(columns).T.tolist())
+
+
+@st.composite
+def spectrum_files(draw):
+    """A BVD spectrum of 0 to 24 points around 30 kHz, as magnitude and phase rows in drawn order."""
+    header = draw(st.sampled_from([",".join(bvdfit.SPECTRUM_CSV_HEADER)] * 5 + ["frequency_hz,magnitude_ohm"]))
+    n = draw(st.integers(0, 24))
+    truth = circuit.BvdParams(1.0 / ((2 * math.pi * 30e3) ** 2 * 1e-9), 1e-9, draw(MAGNITUDES), 9.88e-9)
+    freqs = np.linspace(27e3, 33e3, n)
+    with np.errstate(all="ignore"):
+        z = bvdfit.model_impedance(truth, freqs)
+    rows = [[f, abs(v), math.degrees(math.atan2(v.imag, v.real))] for f, v in zip(freqs.tolist(), z.tolist())]
+    rows = draw(st.permutations(rows)) if rows else rows
+    return _csv_bytes(draw, header, [row[: len(header.split(","))] for row in rows])
+
+
+# mostly a library glass or the name the drawn records use most
+NAMES = st.one_of(st.sampled_from(["SLG_0.4", "Custom_1.0", "Custom_1.0", ""]), st.text(max_size=4))
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3), VALUES)
+# well-formed values, the thickness inside the library's band
+_GOOD_FIELDS = {
+    "name": NAMES,
+    "thickness_m": st.floats(1e-4, 5e-3),
+    "density_kg_m3": st.floats(1e3, 1e4),
+    "youngs_modulus_pa": st.floats(1e9, 1e12),
+}
+_GLASS_RECORDS = st.fixed_dictionaries(_GOOD_FIELDS)
+_ODD_RECORDS = st.one_of(
+    st.fixed_dictionaries({key: st.one_of(value, _JSON_SCALARS) for key, value in _GOOD_FIELDS.items()}),
+    st.dictionaries(st.sampled_from([*_GOOD_FIELDS, "thickness", ""]), _JSON_SCALARS, max_size=5),
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=2),
+)
+
+
+@st.composite
+def material_files(draw):
+    """A JSON document meant as glass records (``Infinity`` and ``NaN`` allowed), with raw bytes spliced in.
+
+    Mostly an array of mostly well-formed records, so that some runs get through.
+    """
+
+    def record():
+        return draw(_GLASS_RECORDS if draw(st.integers(0, 2)) else _ODD_RECORDS)
+
+    payload = [record() for _ in range(draw(st.integers(0, 3)))] if draw(st.integers(0, 3)) else record()
+    return _splice_bytes(draw, json.dumps(payload).encode("utf-8"))
+
+
+def _name_flag(flag):
+    return NAMES.map(lambda name: [f"{flag}={name}"])
+
+
+MATERIALS_FILE = st.one_of(
+    st.just(["materials"]),
+    _argv(["materials"], _name_flag("--show")),
+    _argv(["beam"], _name_flag("--glass"), st.one_of(st.just([]), _name_flag("--reference"))),
+    _argv(["predict-power"], st.one_of(st.just([]), _name_flag("--reference"))),
 )
 
 
@@ -95,6 +215,8 @@ def _check(argv):
     for line in lines[1:]:
         row = dict(zip(header, line.split(",")))
         for column, cell in row.items():
+            if column in ("name", "file"):
+                continue  # text, whatever it reads like
             try:
                 number = float(cell)
             except ValueError:
@@ -127,3 +249,43 @@ def test_beam_flags(argv):
 @given(argv=FIT)
 def test_fit_demo_flags(argv):
     _check(argv)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(
+    content=trace_files(),
+    flags=_argv(
+        [],
+        st.one_of(st.just(["--sample-rate=300kHz"]), _flags(["--sample-rate"])),
+        _flags([], ["--shunt"]),
+        st.sampled_from([[], ["--ldv-kind=velocity"], ["--piezo-column=source"]]),
+    ),
+)
+def test_reduce_traces_files(scratch, content, flags):
+    path = scratch / "trace.csv"
+    path.write_bytes(content)
+    _check(["reduce-traces", str(path), *flags])
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(
+    content=spectrum_files(),
+    flags=_argv([], st.one_of(st.just(["--c0=9.88nF"]), _flags(["--c0"])), _FIT_OPTIONS),
+)
+def test_fit_input_files(scratch, content, flags):
+    path = scratch / "spectrum.csv"
+    path.write_bytes(content)
+    _check(["fit", f"--input={path}", *flags])
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(content=material_files(), argv=MATERIALS_FILE)
+def test_material_files(scratch, content, argv):
+    path = scratch / "materials.json"
+    path.write_bytes(content)
+    _check([*argv, f"--file={path}"])

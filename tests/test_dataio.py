@@ -77,6 +77,16 @@ def test_traces_channels_are_read_only():
         traces.v_piezo[0] = 1.0
 
 
+def test_traces_copy_the_caller_arrays():
+    v_piezo, v_shunt, ldv = np.zeros((3, 100))
+    traces = TimeTraces(FS, v_piezo, v_shunt, ldv=ldv, ldv_kind="displacement")
+    assert v_piezo.flags.writeable and v_shunt.flags.writeable and ldv.flags.writeable
+    v_piezo[0] = 1.0
+    assert traces.v_piezo[0] == 0.0
+    for channel in (traces.v_piezo, traces.v_shunt, traces.ldv):
+        assert not channel.flags.writeable and channel.flags.c_contiguous
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("channel", ["v_piezo", "v_shunt", "ldv"])
 def test_traces_reject_non_finite_samples(channel, bad):
@@ -101,6 +111,15 @@ def test_load_two_column_csv(tmp_path):
     assert len(loaded) == len(traces)
     assert loaded.ldv is None
     assert np.allclose(loaded.v_piezo, traces.v_piezo, atol=1e-6)
+
+
+def test_loaded_channels_are_read_only_and_contiguous(tmp_path):
+    path = tmp_path / "trial.csv"
+    _write_csv(path, np.arange(300.0).reshape(3, 100), "v_piezo,v_shunt,ldv")
+    loaded = dataio.load_traces_csv(path, FS, ldv_kind="velocity")
+    for channel in (loaded.v_piezo, loaded.v_shunt, loaded.ldv):
+        assert not channel.flags.writeable and channel.flags.c_contiguous
+    assert loaded.ldv.tolist() == list(np.arange(200.0, 300.0))
 
 
 def test_load_csv_ignores_kind_without_ldv_column(tmp_path):
