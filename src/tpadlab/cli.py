@@ -144,6 +144,11 @@ def _cmd_circuit(args, parser) -> list[str]:
 def _cmd_fit(args, parser) -> list[str]:
     from . import bvdfit
 
+    options = bvdfit.FitOptions(
+        max_iterations=args.max_iter,
+        fit_static_capacitance=args.fit_c0,
+        shunt_resistance=args.include_shunt,
+    )
     if args.demo:
         c0 = args.c0 if args.c0 is not None else materials.default_actuator().static_capacitance
         c = args.demo_c
@@ -162,11 +167,6 @@ def _cmd_fit(args, parser) -> list[str]:
             parser.error("--c0 is required with --input")
         c0 = args.c0
         spectrum = bvdfit.load_impedance_csv(args.input)
-    options = bvdfit.FitOptions(
-        max_iterations=args.max_iter,
-        fit_static_capacitance=args.fit_c0,
-        shunt_resistance=args.include_shunt,
-    )
     result = bvdfit.fit_bvd(spectrum, c0, options)
     p = result.params
     header = (

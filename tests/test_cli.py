@@ -409,6 +409,12 @@ def test_fit_demo_edge_is_one_typed_error(capsys, flags, code, message):
     assert capsys.readouterr() == ("", f"tpadlab: error: {message}\n")
 
 
+def test_fit_checks_its_options_before_writing_the_demo_spectrum(run_cli, tmp_path):
+    path = tmp_path / "demo.csv"
+    assert run_cli("fit", "--demo", "--demo-out", str(path), "--max-iter", "0") == (2, "")
+    assert not path.exists()
+
+
 def test_fit_input_with_an_infinite_cell_is_one_typed_error(capsys, tmp_path):
     lines = ["frequency_hz,magnitude_ohm,phase_deg"] + [f"{29000 + 100 * k},{1000 + k},-80" for k in range(12)]
     lines[5] = "29400,inf,0"
