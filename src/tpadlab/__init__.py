@@ -39,7 +39,8 @@ _SUBMODULE_OF = {
         ),
         "dataio": (
             "AmplitudeEstimate", "TimeTraces", "TrialSummary", "amplitude_from_ldv",
-            "detect_drive_frequency", "load_traces_csv", "real_power_from_traces", "summarize_trial",
+            "detect_drive_frequency", "load_traces_csv", "noise_floor", "real_power_from_traces",
+            "summarize_trial",
         ),
         "friction": (
             "FrictionParams", "SqueezeFilmParams", "VibrationState", "contour_amplitude", "psi",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AnalysisError,
     DriveFrequencyNotFound,
     InsufficientSamples,
     InvalidProperty,
@@ -43,6 +44,10 @@ MIN_PERIODS = 2
 
 # amplitude below this multiple of the per-bin noise floor is suspect
 LOW_CONFIDENCE_FLOOR_RATIO = 10.0
+
+# Relative margin on the energy bound of the noise floor, far above the
+# rounding of the FFT, the dot product and the divisions it stands in for.
+FLOOR_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +119,13 @@ class AmplitudeEstimate:
     Attributes:
         frequency: tone frequency used for the projection (Hz).
         amplitude: displacement amplitude (m).
-        noise_floor: median off-tone per-bin amplitude, in the same
-            displacement units as ``amplitude``.
         low_confidence: amplitude is below
-            :data:`LOW_CONFIDENCE_FLOOR_RATIO` times the noise floor.
+            :data:`LOW_CONFIDENCE_FLOOR_RATIO` times :func:`noise_floor`
+            of the same traces and frequency.
     """
 
     frequency: float  # Hz
     amplitude: float  # m
-    noise_floor: float  # m
     low_confidence: bool
 
 
@@ -190,15 +193,22 @@ def _read_csv_table(path, check_header, error, noun: str, positive=None) -> np.n
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {noun} file {path}: {exc}") from exc
     handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-    header = tuple(cell.strip() for cell in next(filter(None, csv.reader(handle)), ()))
+    reader = csv.reader(handle)
+    header = tuple(cell.strip() for cell in next(filter(None, reader), ()))
     check_header(header)
     width, values, fault = len(header), None, None
+    # the body as bytes, from the end of the header's lines (which may end in a lone CR)
+    handle.seek(0)
+    body = io.BytesIO(raw)
+    body.seek(sum(len(line.encode("utf-8")) for line in itertools.islice(handle, reader.line_num)))
     # loadtxt warns on a body without data, so it never gets one
-    first = next((line for line in handle if line.strip("\r\n")), None)
+    first = next((line for line in body if line.strip(b"\r\n")), None)
     # loadtxt strips \x1c-\x1f like blanks, float rejects them
     if first is not None and not any(c in raw for c in b"\x1c\x1d\x1e\x1f"):
         with contextlib.suppress(ValueError):
-            values = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments=None, ndmin=2)
+            values = np.loadtxt(
+                itertools.chain([first], body), delimiter=",", comments=None, ndmin=2, encoding="utf-8"
+            )
     if values is None or values.shape[1] != width:
         rows, fault = _scan_rows(handle, width)
         values = np.array(rows, dtype=float).reshape(-1, width)
@@ -295,45 +305,85 @@ def real_power_from_traces(
     return float(np.mean(traces.v_piezo[:m] * current))
 
 
-def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None) -> AmplitudeEstimate:
-    """Vibration displacement amplitude from the LDV channel.
-
-    Projects the channel onto the drive tone over an integer number of
-    periods: amplitude = 2 |sum x[n] exp(-2 pi j f n / fs)| / N.  A
-    velocity-kind channel is converted to displacement by dividing by
-    the angular frequency.  When ``drive_frequency`` is omitted it is
-    detected from v_piezo.
-
-    The per-bin noise floor is the median off-tone FFT bin amplitude
-    (excluding DC and the tone's neighborhood); estimates below 10x the
-    floor are flagged low-confidence.
-
-    Raises:
-        NoLdvChannel: traces carry no LDV channel.
-    """
+def _ldv_window(traces: TimeTraces, drive_frequency: float | None) -> tuple[float, np.ndarray, float]:
+    """The drive frequency, the mean-free LDV samples over whole periods, and the
+    divisor that turns their amplitude into displacement (the angular drive
+    frequency for a velocity channel, else 1)."""
     if traces.ldv is None:
         raise NoLdvChannel("traces have no ldv channel")
     frequency, m = _integer_period_length(traces, drive_frequency)
     x = traces.ldv[:m] - np.mean(traces.ldv[:m])
-    phase = np.exp(-2j * np.pi * frequency / traces.sample_rate * np.arange(m))
-    amplitude = 2.0 * np.abs(np.sum(x * phase)) / m
+    return frequency, x, 2.0 * np.pi * frequency if traces.ldv_kind == "velocity" else 1.0
 
-    bin_amplitudes = 2.0 * np.abs(np.fft.rfft(x)) / m
-    tone_bin = frequency * m / traces.sample_rate
-    bins = np.arange(bin_amplitudes.size)
-    off_tone = (bins >= 3) & (np.abs(bins - tone_bin) > 3)
-    noise_floor = float(np.median(bin_amplitudes[off_tone])) if np.any(off_tone) else 0.0
 
-    if traces.ldv_kind == "velocity":
-        omega = 2.0 * np.pi * frequency
-        amplitude /= omega
-        noise_floor /= omega
-    return AmplitudeEstimate(
-        frequency=float(frequency),
-        amplitude=float(amplitude),
-        noise_floor=noise_floor,
-        low_confidence=bool(amplitude < LOW_CONFIDENCE_FLOOR_RATIO * noise_floor),
-    )
+def _off_tone_bins(m: int, frequency: float, sample_rate: float) -> np.ndarray:
+    """Mask of the rfft bins of ``m`` samples that count toward the noise floor:
+    not DC or its two neighbours, and more than 3 bins from the tone."""
+    bins = np.arange(m // 2 + 1)
+    return (bins >= 3) & (np.abs(bins - frequency * m / sample_rate) > 3)
+
+
+def noise_floor(traces: TimeTraces, drive_frequency: float | None = None) -> float:
+    """Per-bin noise floor of the LDV channel, in displacement units (m).
+
+    The median of the FFT bin amplitudes 2|X_k|/m of the mean-free
+    channel, cropped to the same whole number of drive periods as
+    :func:`amplitude_from_ldv`, over the bins off the tone: all but DC,
+    its two neighbours and the bins within 3 of the tone.  It is 0 when no
+    bin is off the tone.  A velocity channel is divided by the angular
+    drive frequency.  When ``drive_frequency`` is omitted it is detected
+    from v_piezo.
+
+    Raises:
+        NoLdvChannel: traces carry no LDV channel.
+    """
+    frequency, x, divisor = _ldv_window(traces, drive_frequency)
+    off_tone = _off_tone_bins(x.size, frequency, traces.sample_rate)
+    if not np.any(off_tone):
+        return 0.0
+    bin_amplitudes = 2.0 * np.abs(np.fft.rfft(x)) / x.size
+    return float(np.median(bin_amplitudes[off_tone])) / divisor
+
+
+def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None) -> AmplitudeEstimate:
+    """Vibration displacement amplitude from the LDV channel.
+
+    Projects the mean-free channel onto the drive tone over an integer
+    number of periods: amplitude = 2 |sum x[n] exp(-2 pi j f n / fs)| / m.
+    A velocity-kind channel is converted to displacement by dividing by
+    the angular frequency.  When ``drive_frequency`` is omitted it is
+    detected from v_piezo.
+
+    The estimate is flagged low-confidence when the amplitude is below
+    :data:`LOW_CONFIDENCE_FLOOR_RATIO` times :func:`noise_floor`.  That
+    floor takes an FFT of the cropped length, which is slow for lengths
+    with a large prime factor, so it is computed only when the channel's
+    energy leaves the flag open: the median of the K off-tone bin
+    amplitudes is at most sqrt(8 (x @ x) / (m K)), because at least half
+    of them reach the median and, by Parseval, the squares of all rfft bin
+    amplitudes sum to at most 4 (x @ x) / m.  An amplitude of at least
+    ten times that bound (plus :data:`FLOOR_BOUND_MARGIN`) is not
+    low-confidence, whatever the exact floor.
+
+    Raises:
+        NoLdvChannel: traces carry no LDV channel.
+        AnalysisError: the channel is so near float range that its mean or
+            its projection is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below: inf or nan is a typed error
+        frequency, x, divisor = _ldv_window(traces, drive_frequency)
+        phase = np.exp(-2j * np.pi * frequency / traces.sample_rate * np.arange(x.size))
+        amplitude = 2.0 * np.abs(np.sum(x * phase)) / x.size / divisor
+        energy = x @ x  # inf near float range, where the bound then decides nothing
+    if not np.isfinite(amplitude):
+        raise AnalysisError("result outside the model's range (ldv amplitude is not finite)")
+    off_tone = np.count_nonzero(_off_tone_bins(x.size, frequency, traces.sample_rate))
+    floor_bound = np.sqrt(8.0 * energy / (x.size * off_tone)) / divisor if off_tone else np.inf
+    if amplitude >= LOW_CONFIDENCE_FLOOR_RATIO * floor_bound * (1.0 + FLOOR_BOUND_MARGIN):
+        low_confidence = False
+    else:
+        low_confidence = bool(amplitude < LOW_CONFIDENCE_FLOOR_RATIO * noise_floor(traces, frequency))
+    return AmplitudeEstimate(frequency=float(frequency), amplitude=float(amplitude), low_confidence=low_confidence)
 
 
 def summarize_trial(traces: TimeTraces, shunt_resistance: float) -> TrialSummary:

@@ -30,7 +30,8 @@ class GlassSpec:
     """Mechanical description of one glass plate.
 
     Attributes:
-        name: library identifier, e.g. ``"SLG_0.4"``.
+        name: library identifier, e.g. ``"SLG_0.4"``; printed as a CSV
+            cell, so it holds no comma, double quote or line break.
         thickness: plate thickness (m).
         density: mass density (kg/m^3).
         youngs_modulus: Young's modulus (Pa).
@@ -44,6 +45,8 @@ class GlassSpec:
     def __post_init__(self):
         if not self.name:
             raise InvalidProperty("glass name must be non-empty")
+        if any(c in self.name for c in ',"\r\n'):
+            raise InvalidProperty(f"glass name {self.name!r} holds a comma, a double quote or a line break")
         require_positive(self, "glass ", "thickness", "density", "youngs_modulus")
 
 

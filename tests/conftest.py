@@ -6,8 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tpadlab import cli
+
+# Every property test: no example database on disk, and no per-example
+# deadline (an example may run the CLI or an FFT); each test sets its own
+# max_examples.
+settings.register_profile("tpadlab", database=None, deadline=None)
+settings.load_profile("tpadlab")
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from tpadlab import beam
@@ -216,7 +216,6 @@ GRID_VALUES = st.floats(min_value=1e-30, max_value=1e30)
 REJECTED_VALUES = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
 
 
-@settings(database=None, deadline=None)
 @given(axis=st.sampled_from(beam.SWEEP_AXES), grid=st.lists(GRID_VALUES, min_size=1, max_size=20))
 def test_sweep_matches_amplification_number_per_point(axis, grid):
     # array pow may round the last bit otherwise than Python's float pow
@@ -229,7 +228,6 @@ def test_sweep_matches_amplification_number_per_point(axis, grid):
             assert n_squared == n * n
 
 
-@settings(database=None, deadline=None)
 @given(
     axis=st.sampled_from(beam.SWEEP_AXES),
     glass=st.sampled_from(material_library()),

@@ -63,7 +63,7 @@ def test_impedance_matches_parallel_combination():
 LOG_UNIFORM = st.floats(-100.0, 100.0).map(lambda exponent: 10.0**exponent)
 
 
-@settings(database=None, deadline=None, max_examples=500)
+@settings(max_examples=500)
 @given(l=LOG_UNIFORM, c=LOG_UNIFORM, r=LOG_UNIFORM, c0=LOG_UNIFORM, f=LOG_UNIFORM)
 def test_impedance_equals_the_brute_force_network(l, c, r, c0, f):
     w = 2.0 * math.pi * f

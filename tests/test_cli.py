@@ -125,6 +125,10 @@ MATERIAL_SCHEMA_ERRORS = {
         "{path}: entry 0 key 'youngs_modulus_pa' must be a number",
     ),
     "empty-name": ([dict(_GOOD_RECORD, name="")], "glass name must be non-empty"),
+    "name-splits-a-row": (
+        [dict(_GOOD_RECORD, name="Custom,1.0")],
+        "glass name 'Custom,1.0' holds a comma, a double quote or a line break",
+    ),
 }
 
 
@@ -500,6 +504,13 @@ def test_beam_rejects_infinite_thickness(run_cli):
     assert (code, out) == (64, "")
 
 
+def test_beam_rejects_a_name_that_splits_the_row(capsys):
+    argv = ["beam", "--thickness", "1mm", "--density", "2500", "--youngs-modulus", "70GPa", "--name", "a,b"]
+    assert cli.main(argv) == 2
+    message = "glass name 'a,b' holds a comma, a double quote or a line break"
+    assert capsys.readouterr() == ("", f"tpadlab: error: {message}\n")
+
+
 def test_beam_rejects_infinite_actuator_density(run_cli):
     assert run_cli("beam", "--glass", "SLG_0.4", "--actuator-density", "1e999") == (64, "")
 
@@ -736,6 +747,18 @@ def test_reduce_traces_near_float_range_is_one_typed_error(capsys, tmp_path):
         warnings.simplefilter("error")
         assert cli.main(["reduce-traces", path, "--sample-rate", "300kHz"]) == 3
     assert capsys.readouterr() == ("", "tpadlab: error: result outside the model's range (got inf)\n")
+
+
+def test_reduce_traces_ldv_near_float_range_is_an_analysis_failure(capsys, tmp_path):
+    # the mean of the ldv channel overflows; the power and current stay finite
+    v_piezo, v_shunt, ldv = _tone_columns(n=300)
+    path = _write_trace_csv(tmp_path / "huge_ldv.csv", v_piezo, v_shunt, ldv / 3e-6 * 1.7e308)
+    argv = ["reduce-traces", path, "--sample-rate", "300kHz", "--shunt", "100", "--ldv-kind", "displacement"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "tpadlab: error: result outside the model's range (ldv amplitude is not finite)\n")
 
 
 # --- repro --------------------------------------------------------------

@@ -6,10 +6,13 @@ as errors.  Flag values are drawn log-uniformly from about 1e-320 to
 trace and spectrum CSVs whose cells mix numbers with odd cells (``nan``,
 ``1e999``, quoted or empty cells, non-ASCII digits...) and raw bytes,
 and material JSON files with wrong keys, wrong types and ``Infinity``.
-Whatever the inputs, the run must end in a documented exit code (0, 2,
-3 or 64) and raise nothing else; on exit 0 every number cell must be
-finite.  The one documented exception is the ``psi`` cell of
-``friction --model velocity`` at zero amplitude, which prints ``inf``.
+Glass names, in material records and in ``beam --name``, are drawn as
+text rich in commas, quotes and line breaks.  Whatever the inputs, the
+run must end in a documented exit code (0, 2, 3 or 64) and raise nothing
+else; on exit 0 every row must have one cell per header column, and
+every number cell must be finite.  The one documented exception is the
+``psi`` cell of ``friction --model velocity`` at zero amplitude, which
+prints ``inf``.
 """
 
 import contextlib
@@ -59,9 +62,16 @@ CIRCUIT = st.one_of(
     _argv(["circuit"], _BVD, _flags(["--freq"])),
 )
 
-_GLASS = _flags(
-    ["--thickness", "--density", "--youngs-modulus"],
-    ["--actuator-thickness", "--actuator-density", "--actuator-youngs-modulus"],
+# any text, with the characters that would split a CSV row or line drawn often
+NAME_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(',"\r\n')), max_size=6)
+
+_GLASS = _argv(
+    [],
+    _flags(
+        ["--thickness", "--density", "--youngs-modulus"],
+        ["--actuator-thickness", "--actuator-density", "--actuator-youngs-modulus"],
+    ),
+    st.one_of(st.just([]), NAME_TEXT.map(lambda name: [f"--name={name}"])),
 )
 _GRID = st.builds(
     lambda axis, start, stop, count: ["--sweep", axis, f"--grid={start!r}:{stop!r}:{count}"],
@@ -149,7 +159,7 @@ def spectrum_files(draw):
 
 
 # mostly a library glass or the name the drawn records use most
-NAMES = st.one_of(st.sampled_from(["SLG_0.4", "Custom_1.0", "Custom_1.0", ""]), st.text(max_size=4))
+NAMES = st.one_of(st.sampled_from(["SLG_0.4", "Custom_1.0", "Custom_1.0", ""]), NAME_TEXT)
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3), VALUES)
 # well-formed values, the thickness inside the library's band
 _GOOD_FIELDS = {
@@ -210,9 +220,11 @@ def _check(argv):
     assert code in EXIT_CODES, argv
     if code != 0:
         return
-    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    # CSV lines end in LF only; splitlines would also split a name at \x1c or \u2028
+    lines = [line for line in out.split("\n")[:-1] if not line.startswith("#")]
     header = lines[0].split(",")
     for line in lines[1:]:
+        assert len(line.split(",")) == len(header), (argv, line)
         row = dict(zip(header, line.split(",")))
         for column, cell in row.items():
             if column in ("name", "file"):
@@ -227,25 +239,25 @@ def _check(argv):
             assert math.isfinite(number), (argv, column, cell)
 
 
-@settings(database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(argv=FRICTION)
 def test_friction_flags(argv):
     _check(argv)
 
 
-@settings(database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(argv=CIRCUIT)
 def test_circuit_flags(argv):
     _check(argv)
 
 
-@settings(database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(argv=BEAM)
 def test_beam_flags(argv):
     _check(argv)
 
 
-@settings(database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(argv=FIT)
 def test_fit_demo_flags(argv):
     _check(argv)
@@ -256,7 +268,7 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     content=trace_files(),
     flags=_argv(
@@ -272,7 +284,7 @@ def test_reduce_traces_files(scratch, content, flags):
     _check(["reduce-traces", str(path), *flags])
 
 
-@settings(database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     content=spectrum_files(),
     flags=_argv([], st.one_of(st.just(["--c0=9.88nF"]), _flags(["--c0"])), _FIT_OPTIONS),
@@ -283,7 +295,7 @@ def test_fit_input_files(scratch, content, flags):
     _check(["fit", f"--input={path}", *flags])
 
 
-@settings(database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(content=material_files(), argv=MATERIALS_FILE)
 def test_material_files(scratch, content, argv):
     path = scratch / "materials.json"

@@ -1,12 +1,16 @@
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpadlab import dataio
 from tpadlab.dataio import TimeTraces, TrialSummary
 from tpadlab.errors import (
+    AnalysisError,
     DriveFrequencyNotFound,
     InsufficientSamples,
     InvalidProperty,
@@ -14,6 +18,7 @@ from tpadlab.errors import (
     NoLdvChannel,
     TpadlabError,
 )
+from tpadlab.units import LDV_KINDS
 
 FS = 300e3
 R0 = 100.0
@@ -261,6 +266,62 @@ def test_trace_reader_matches_line_scan_reference(tmp_path, text):
     assert loaded.v_piezo.flags.c_contiguous and not loaded.v_piezo.flags.writeable
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+PLAIN_CELLS = st.floats(allow_nan=False).map(repr)
+# cells that loadtxt rejects or reads otherwise than float, so the row scan takes them
+ODD_CELLS = st.one_of(
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.3E}"),
+    st.floats(-1e6, 1e6).map(lambda v: f'"{v!r}"'),
+    st.floats(-1e6, 1e6).map(lambda v: f" {v!r}\t"),
+    st.integers(-99, 99).map(lambda k: f"{k}_0"),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """A header and rows of numbers, with blank and whitespace-only lines, any line ends, and no final
+    newline or one.  Most files are plain, so that the bulk parser reads them; the others hold odd
+    cells, a whitespace-only line or lone CRs, which the row scan reads."""
+    width = draw(st.integers(1, 3))
+    cells = draw(st.sampled_from([PLAIN_CELLS, PLAIN_CELLS, st.one_of(PLAIN_CELLS, ODD_CELLS)]))
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=12))
+    lines = [",".join(f"c{k}" for k in range(width)), *map(",".join, rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from([" ", "\t", " \t "])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r", "mixed"]))
+    if newline == "mixed":
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+        text = "".join(map("".join, zip(lines, ends)))
+    else:
+        text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(raw=csv_files())
+def test_bulk_reader_returns_the_row_scan_arrays(scratch, raw):
+    path = scratch / "table.csv"
+    path.write_bytes(raw)
+    handle = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    width = len(next(filter(None, csv.reader(handle))))
+    rows, fault = dataio._scan_rows(handle, width)
+    try:
+        values = dataio._read_csv_table(path, lambda header: None, MalformedTraceFile, "trace")
+    except MalformedTraceFile as exc:
+        assert fault is not None and str(exc) == f"{path}: {fault}"
+        return
+    assert fault is None
+    expected = np.array(rows, dtype=float).reshape(-1, width)
+    assert values.shape == expected.shape and values.dtype == expected.dtype
+    assert np.array_equal(values, expected)
+
+
 def test_detect_integer_bin_tone():
     # 33.1 kHz is an exact bin at 300 kHz / 30000 samples
     traces, _ = tone_traces(frequency=33.1e3)
@@ -369,7 +430,74 @@ def test_amplitude_flags_noise_as_low_confidence():
     traces, _ = tone_traces(ldv=ldv, ldv_kind="displacement")
     estimate = dataio.amplitude_from_ldv(traces)
     assert estimate.low_confidence
-    assert estimate.noise_floor > 0.0
+    assert dataio.noise_floor(traces) > 0.0
+
+
+@settings(max_examples=200)
+@given(
+    bins=st.floats(0.0, 1.0),
+    on_grid=st.booleans(),
+    n=st.one_of(st.integers(40, 400), st.integers(400, 20000)),
+    amplitude=st.floats(1e-8, 1e-4),
+    noise=st.floats(-10.0, 1.5).map(lambda e: 10.0**e),
+    ldv_kind=st.sampled_from(LDV_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_low_confidence_flag_matches_the_noise_floor(bins, on_grid, n, amplitude, noise, ldv_kind, seed):
+    # a tone anywhere in 15-60 kHz, on the capture's bin grid or not; n = 40 is the shortest trace at FS
+    lo, hi = dataio.EXPECTED_DRIVE_BAND_HZ
+    frequency = lo + bins * (hi - lo)
+    if on_grid:
+        k = min(max(round(frequency * n / FS), math.ceil(lo * n / FS)), math.floor(hi * n / FS))
+        frequency = k * FS / n
+    omega = 2.0 * math.pi * frequency
+    scale = omega if ldv_kind == "velocity" else 1.0
+    t = np.arange(n) / FS
+    rng = np.random.default_rng(seed)
+    ldv = scale * amplitude * (np.sin(omega * t + 0.7) + noise * rng.standard_normal(n))
+    traces = TimeTraces(FS, np.sin(omega * t), np.zeros(n), ldv=ldv, ldv_kind=ldv_kind)
+    estimate = dataio.amplitude_from_ldv(traces, frequency)
+    floor = dataio.noise_floor(traces, frequency)
+    assert estimate.low_confidence == (estimate.amplitude < dataio.LOW_CONFIDENCE_FLOOR_RATIO * floor)
+    # the energy bound that lets amplitude_from_ldv skip the floor's FFT
+    _, m = dataio._integer_period_length(traces, frequency)
+    x = ldv[:m] - np.mean(ldv[:m])
+    bins_off_tone = [k for k in range(3, m // 2 + 1) if abs(k - frequency * m / FS) > 3]
+    if bins_off_tone:
+        bound = math.sqrt(8.0 * (x @ x) / (m * len(bins_off_tone))) / scale
+        assert floor <= bound * (1.0 + dataio.FLOOR_BOUND_MARGIN)
+    else:
+        assert floor == 0.0
+
+
+def test_clean_capture_takes_one_fft_for_detection_only(monkeypatch):
+    rfft, sizes = np.fft.rfft, []
+    monkeypatch.setattr(np.fft, "rfft", lambda x: sizes.append(x.size) or rfft(x))
+    fs, n = 500e3, 50_000
+    t = np.arange(n) / fs
+    omega = 2.0 * math.pi * 30002.5  # a quarter bin off, so the crop is shorter than n
+    rng = np.random.default_rng(3)
+    v_piezo, v_shunt = 40.0 * np.sin(omega * t), 0.5 * np.sin(omega * t - 0.3)
+    ldv = 3e-6 * np.sin(omega * t) + 3e-9 * rng.standard_normal(n)
+    clean = TimeTraces(fs, v_piezo, v_shunt, ldv, "displacement")
+    summary = dataio.summarize_trial(clean, R0)
+    assert summary.amplitude_low_confidence is False
+    assert sizes == [n]
+    # a noise-dominated channel leaves the flag open, and the floor's FFT decides it
+    sizes.clear()
+    ldv = 3e-9 * np.sin(omega * t) + 3e-6 * rng.standard_normal(n)
+    noisy = TimeTraces(fs, v_piezo, v_shunt, ldv, "displacement")
+    assert dataio.summarize_trial(noisy, R0).amplitude_low_confidence is True
+    assert len(sizes) == 2 and sizes[0] == n > sizes[1]
+
+
+def test_amplitude_near_float_range_is_an_analysis_error():
+    # the mean of the channel overflows; no numpy warning comes before the error
+    _, t = tone_traces(duration=0.001)
+    ldv = 1.7e308 * np.sin(2.0 * math.pi * 30e3 * t + 0.4)
+    traces, _ = tone_traces(duration=0.001, ldv=ldv, ldv_kind="displacement")
+    with pytest.raises(AnalysisError, match="outside the model's range"):
+        dataio.amplitude_from_ldv(traces)
 
 
 def test_amplitude_requires_ldv_channel():

@@ -155,3 +155,9 @@ def test_glass_spec_rejects_nonpositive_values():
         materials.GlassSpec("x", 0.0, 2483.0, 71e9)
     with pytest.raises(InvalidProperty):
         materials.GlassSpec("x", 0.4e-3, 2483.0, -71e9)
+
+
+@pytest.mark.parametrize("name", ["a,b", 'say "x"', "a\rb", "a\nb", "\n"])
+def test_glass_spec_rejects_names_that_break_a_csv_row(name):
+    with pytest.raises(InvalidProperty, match="holds a comma, a double quote or a line break"):
+        materials.GlassSpec(name, 0.4e-3, 2483.0, 71e9)

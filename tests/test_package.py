@@ -45,7 +45,7 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from tpadlab import *", namespace)
     assert {name for name in namespace if name != "__builtins__"} == set(tpadlab.__all__)
-    assert len(tpadlab.__all__) == 45
+    assert len(tpadlab.__all__) == 46
     assert set(tpadlab.__all__) <= set(dir(tpadlab))
 
 

@@ -103,13 +103,13 @@ def tables(draw, min_rows=0):
     return draw(st.lists(st.tuples(*columns), min_size=min_rows, max_size=12))
 
 
-@settings(database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(rows=tables())
 def test_table_lines_match_the_per_cell_reference(rows):
     assert units.csv_table("header", rows) == ["header", *(_reference_row(*row) for row in rows)]
 
 
-@settings(database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(rows=tables(min_rows=1), data=st.data())
 def test_a_non_finite_number_fails_the_whole_table(rows, data):
     for _ in range(data.draw(st.integers(1, 3))):
