@@ -33,6 +33,13 @@ finally:
 ChildRun = collections.namedtuple("ChildRun", "code out err modules")
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory shared by the examples of a module's property tests (function-scoped
+    ``tmp_path`` would be shared across examples anyway, and Hypothesis rejects it)."""
+    return tmp_path_factory.mktemp("scratch")
+
+
 @pytest.fixture
 def run_cli(capsys):
     """Invoke the CLI in-process; returns (exit_code, stdout_text)."""

@@ -22,7 +22,6 @@ import math
 import warnings
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -261,11 +260,6 @@ def test_beam_flags(argv):
 @given(argv=FIT)
 def test_fit_demo_flags(argv):
     _check(argv)
-
-
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
 
 
 @settings(max_examples=60)

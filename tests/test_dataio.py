@@ -266,11 +266,6 @@ def test_trace_reader_matches_line_scan_reference(tmp_path, text):
     assert loaded.v_piezo.flags.c_contiguous and not loaded.v_piezo.flags.writeable
 
 
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("reader")
-
-
 PLAIN_CELLS = st.floats(allow_nan=False).map(repr)
 # cells that loadtxt rejects or reads otherwise than float, so the row scan takes them
 ODD_CELLS = st.one_of(
