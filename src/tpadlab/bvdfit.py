@@ -126,9 +126,11 @@ def model_impedance(params: BvdParams, frequencies, shunt_resistance: float = 0.
     return impedance(params, frequencies) + shunt_resistance
 
 
-def _log_residual(params: BvdParams, spectrum: ImpedanceSpectrum, shunt: float) -> np.ndarray:
-    ratio = model_impedance(params, spectrum.frequencies, shunt) / spectrum.impedances
-    return np.concatenate([np.log(np.abs(ratio)), np.angle(ratio)])
+def _trial(params: BvdParams, spectrum: ImpedanceSpectrum, shunt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Model impedance Z at ``params``, and the log residual: log|Z/Z_meas|, then angle(Z/Z_meas)."""
+    z = model_impedance(params, spectrum.frequencies, shunt)
+    ratio = z / spectrum.impedances
+    return z, np.concatenate([np.log(np.abs(ratio)), np.angle(ratio)])
 
 
 def residual(params: BvdParams, spectrum: ImpedanceSpectrum, shunt_resistance: float = 0.0) -> float:
@@ -137,7 +139,7 @@ def residual(params: BvdParams, spectrum: ImpedanceSpectrum, shunt_resistance: f
     Zero iff the model matches every point exactly; invariant under
     reordering of the spectrum points.
     """
-    r = _log_residual(params, spectrum, shunt_resistance)
+    r = _trial(params, spectrum, shunt_resistance)[1]
     return float(r @ r)
 
 
@@ -203,36 +205,43 @@ def initial_guess(spectrum: ImpedanceSpectrum, c0: float) -> BvdParams:
     return BvdParams(inductance=l, capacitance=c, resistance=r, static_capacitance=c0)
 
 
-def _params_from_theta(theta: np.ndarray, c0: float, fit_c0: bool) -> BvdParams:
+def _params_from_theta(theta: np.ndarray, c0: float) -> BvdParams:
     l, c, r = np.exp(theta[:3])
-    c0_val = float(np.exp(theta[3])) if fit_c0 else c0
-    return BvdParams(float(l), float(c), float(r), c0_val)
+    return BvdParams(float(l), float(c), float(r), float(np.exp(theta[3])) if len(theta) > 3 else c0)
 
 
-def _jacobian(params: BvdParams, spectrum: ImpedanceSpectrum, shunt: float, fit_c0: bool) -> np.ndarray:
-    """Analytic Jacobian of the log-residual w.r.t. log parameters."""
-    w = 2.0 * np.pi * spectrum.frequencies
-    l, c, r, c0 = (
-        params.inductance,
-        params.capacitance,
-        params.resistance,
-        params.static_capacitance,
-    )
-    zs = -1j / (w * c0)
-    zm = r + 1j * (w * l - 1.0 / (w * c))
-    zsum = zs + zm
-    z_total = zs * zm / zsum + shunt
-    dz_dzm = (zs / zsum) ** 2
-    cols = [
-        dz_dzm * (1j * w * l) / z_total,  # d/d lnL
-        dz_dzm * (1j / (w * c)) / z_total,  # d/d lnC
-        dz_dzm * r / z_total,  # d/d lnR
-    ]
+def _jacobian(params: BvdParams, z: np.ndarray, w: np.ndarray, shunt: float, fit_c0: bool) -> np.ndarray:
+    """Rows d r / d ln p of the log residual at ``params``, from its model impedance ``z`` at angular frequencies ``w``.
+
+    A row is the interleaved real/imaginary view of d ln Z / d ln p: g {jwL, j/(wC), R}, g = Z_n^2 / (Z_m^2 Z), with
+    Z_n = Z - shunt and Z_m = R + jX1, then -jwC0 Z_n^2 / Z for C0.  In place, as fresh temporaries cost page faults.
+    """
+    l, c, r = params.inductance, params.capacitance, params.resistance
+    x_l = w * l
+    x_c = 1.0 / (w * c)
+    g = r + 1j * (x_l - x_c)
+    np.divide(z - shunt, g, out=g)
+    g **= 2
+    g /= z
+    rows = np.empty((3 + fit_c0, len(w)), complex)
+    np.multiply(g, x_l, out=rows[0])
+    np.multiply(g, x_c, out=rows[1])
+    rows[:2] *= 1j
+    np.multiply(g, r, out=rows[2])
     if fit_c0:
-        dz_dzs = (zm / zsum) ** 2
-        cols.append(dz_dzs * (-zs) / z_total)  # d/d lnC0
-    jc = np.stack(cols, axis=1)
-    return np.concatenate([jc.real, jc.imag], axis=0)
+        rows[3] = -1j * w * params.static_capacitance * (z - shunt) ** 2 / z
+    return rows.view(float)
+
+
+def _normal_equations(rows: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r from the Jacobian rows, as dot products of contiguous rows."""
+    hess = np.empty((len(rows), len(rows)))
+    for i in range(len(rows)):
+        for j in range(i + 1):
+            hess[i, j] = hess[j, i] = rows[i] @ rows[j]
+    r = np.empty_like(res)  # interleaved, point by point, as the rows are
+    r[0::2], r[1::2] = res[: res.size // 2], res[res.size // 2 :]
+    return hess, rows @ r
 
 
 @np.errstate(all="ignore")  # a step that leaves float range has a non-finite cost and is rejected
@@ -258,33 +267,28 @@ def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None =
     if fit_c0:
         theta = np.append(theta, math.log(start.static_capacitance))
 
-    params = _params_from_theta(theta, c0, fit_c0)
-    res = _log_residual(params, spectrum, shunt)
+    w = 2.0 * np.pi * spectrum.frequencies
+    params = _params_from_theta(theta, c0)
+    z, res = _trial(params, spectrum, shunt)
     cost = float(res @ res)
     if not np.isfinite(cost):
-        raise FitNotConverged(
-            "objective is not finite at the starting point",
-            FitResult(params, cost, 0, False),
-        )
+        raise FitNotConverged("objective is not finite at the starting point", FitResult(params, cost, 0, False))
 
     lam = 1e-3
     iterations = 0
     for _ in range(opts.max_iterations):
-        jac = _jacobian(params, spectrum, shunt, fit_c0)
-        grad = jac.T @ res
-        hess = jac.T @ jac
+        hess, grad = _normal_equations(_jacobian(params, z, w, shunt, fit_c0), res)
         diag = np.diag(np.maximum(np.diag(hess), 1e-30))
 
         # inner damping loop: inflate lambda until a step lowers the cost
         while True:
             try:
                 step = np.linalg.solve(hess + lam * diag, -grad)
-                new_theta = theta + step
-                new_params = _params_from_theta(new_theta, c0, fit_c0)
+                new_params = _params_from_theta(theta + step, c0)
             except (np.linalg.LinAlgError, InvalidProperty):  # singular, or a parameter left float range
                 step = None
             if step is not None:
-                new_res = _log_residual(new_params, spectrum, shunt)
+                new_z, new_res = _trial(new_params, spectrum, shunt)
                 new_cost = float(new_res @ new_res)
                 if np.isfinite(new_cost) and new_cost <= cost:
                     break
@@ -296,14 +300,10 @@ def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None =
                 )
 
         iterations += 1
-        improvement = cost - new_cost
-        theta, params, res = new_theta, new_params, new_res
-        cost_prev, cost = cost, new_cost
+        converged = np.max(np.abs(step)) < STEP_TOLERANCE or cost - new_cost <= RESIDUAL_TOLERANCE * max(cost, 1e-300)
+        theta, params, z, res, cost = theta + step, new_params, new_z, new_res, new_cost
         lam = max(lam / 3.0, 1e-12)
-
-        if np.max(np.abs(step)) < STEP_TOLERANCE:
-            break
-        if improvement <= RESIDUAL_TOLERANCE * max(cost_prev, 1e-300):
+        if converged:
             break
     else:
         raise FitNotConverged(

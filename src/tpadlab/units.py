@@ -112,6 +112,12 @@ def parse_velocity(text: str) -> float:
 _NUMBER = "%.12g"
 # chunks of cells whose text is fixed: "%.0s" takes the cell and prints nothing
 _LITERAL = {True: "true%.0s", False: "false%.0s", None: "%.0s"}
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quoted(cell: str) -> str:
+    """A string cell as RFC 4180 writes it: in double quotes, each inner one doubled, if it holds , " CR or LF."""
+    return '"%s"' % cell.replace('"', '""') if _NEEDS_QUOTES.search(cell) else cell
 
 
 def _chunk(cell) -> str:
@@ -124,8 +130,10 @@ def _chunk(cell) -> str:
 def csv_table(header: str, rows) -> list[str]:
     """The lines of a CSV table: ``header``, then one line per row of cells.
 
-    Strings pass as they are, None is empty, bools are ``true``/``false``
-    and numbers print to 12 significant digits in ``%g`` style.
+    Strings pass as they are unless they hold a comma, a double quote, CR
+    or LF: those are quoted as RFC 4180 says, with each inner double quote
+    doubled.  None is empty, bools are ``true``/``false`` and numbers
+    print to 12 significant digits in ``%g`` style.
     Each row is rendered by one ``%`` template built from its cells' kinds;
     when each column holds one kind of cell, other than bool, every row
     gets the same template.
@@ -149,6 +157,8 @@ def csv_table(header: str, rows) -> list[str]:
     if not all(map(math.isfinite, chain.from_iterable(numbers))):
         bad = next(filterfalse(math.isfinite, chain.from_iterable(zip(*numbers))))  # the first, row by row
         raise AnalysisError(f"result outside the model's range (got {float(bad)})")
+    if "%s" in shared or None in shared:  # a column that can hold strings; a table of numbers skips this
+        rows = [tuple(_quoted(cell) if isinstance(cell, str) else cell for cell in row) for row in rows]
     if None not in shared:
         return [header, *map(",".join(shared).__mod__, rows)]
     return [header, *(",".join(c or _chunk(cell) for c, cell in zip(shared, row)) % row for row in rows)]

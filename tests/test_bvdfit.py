@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpadlab import bvdfit
 from tpadlab.circuit import BvdParams, resonant_frequency
@@ -188,6 +190,79 @@ def test_four_parameter_fit_recovers_static_capacitance():
     result = bvdfit.fit_bvd(spectrum, 9.88e-9, options)
     assert result.converged
     assert result.params.static_capacitance == pytest.approx(12e-9, rel=1e-6)
+
+
+# the C05 box of the acceptance gate
+F_R = st.floats(20e3, 45e3)
+RESISTANCE = st.floats(500.0, 3000.0)
+CAPACITANCE = st.floats(50e-12, 200e-12)
+EPS = np.finfo(float).eps
+
+
+def _interleaved(res):
+    """The log residual reordered point by point, as the Jacobian rows are: log magnitude, angle, ..."""
+    out = np.empty_like(res)
+    out[0::2], out[1::2] = res[: res.size // 2], res[res.size // 2 :]
+    return out
+
+
+@settings(max_examples=60)
+@given(
+    f_r=F_R,
+    resistance=RESISTANCE,
+    capacitance=CAPACITANCE,
+    scale=st.lists(st.floats(0.9, 1.1), min_size=4, max_size=4),
+    fit_c0=st.booleans(),
+    shunt=st.sampled_from([0.0, 100.0]),
+)
+def test_jacobian_rows_match_central_differences(f_r, resistance, capacitance, scale, fit_c0, shunt):
+    truth = params_for(f_r, resistance, capacitance)
+    spectrum = bvdfit.generate_spectrum(truth, n_points=201, shunt_resistance=shunt)
+    # within 10 % of the truth, angle(Z/Z_meas) stays away from +-pi, where it would jump by 2 pi
+    theta4 = np.log([truth.inductance, truth.capacitance, truth.resistance, truth.static_capacitance]) + np.log(scale)
+    theta = theta4[: 3 + fit_c0]
+    w = 2.0 * np.pi * spectrum.frequencies
+
+    def rows_at(theta):
+        params = bvdfit._params_from_theta(theta, C0)
+        z, res = bvdfit._trial(params, spectrum, shunt)
+        return bvdfit._jacobian(params, z, w, shunt, theta.size > 3), res
+
+    def central(h):
+        out = []
+        for i in range(theta.size):
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            # divided by the step as stored, which the subtraction gives exactly (Sterbenz)
+            out.append(_interleaved(rows_at(up)[1] - rows_at(down)[1]) / (up[i] - down[i]))
+        return np.array(out)
+
+    # The bound.  Truncation: D(h) = r' + h^2 r'''/6 + O(h^4), so |D(2h) - D(h)| is about three
+    # times the truncation error of D(h).  Rounding: a residual entry is off by at most delta,
+    # a few ulps of each parameter carried through |dr/d ln p| summed over all four parameters,
+    # plus a few ulps from the ratio, log and angle; D(h) is then off by at most delta / h.
+    h = 1e-5
+    rows, res = rows_at(theta)
+    d_h, d_2h = central(h), central(2.0 * h)
+    delta = 8.0 * EPS * (1.0 + np.abs(rows_at(theta4)[0]).sum(axis=0))
+    assert np.all(np.abs(rows - d_h) <= np.abs(d_2h - d_h) + 2.0 * delta / h)
+
+    # A dot product of n terms is off by at most n eps |a| |b|, and n eps < 1e-12 at n = 402.
+    hess, grad = bvdfit._normal_equations(rows, res)
+    jac, norms = rows.T, np.linalg.norm(rows, axis=1)
+    assert np.all(np.abs(hess - jac.T @ jac) <= 1e-12 * np.outer(norms, norms))
+    assert np.all(np.abs(grad - jac.T @ _interleaved(res)) <= 1e-12 * norms * np.linalg.norm(res))
+
+
+@settings(max_examples=60)
+@given(f_r=F_R, resistance=RESISTANCE, capacitance=CAPACITANCE, n_points=st.sampled_from([201, 801, 6401]))
+def test_fit_recovers_noise_free_spectra_across_the_c05_box(f_r, resistance, capacitance, n_points):
+    truth = params_for(f_r, resistance, capacitance)
+    result = bvdfit.fit_bvd(bvdfit.generate_spectrum(truth, n_points=n_points), C0)
+    assert result.converged
+    for name in ("inductance", "capacitance", "resistance"):
+        assert getattr(result.params, name) == pytest.approx(getattr(truth, name), rel=1e-9)
 
 
 def test_series_shunt_round_trip():

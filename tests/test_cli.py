@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -701,6 +703,17 @@ def test_reduce_traces_multiple_files(run_cli, tmp_path):
     lines = rows(out)
     assert len(lines) == 3
     assert cells(lines[1])[1:] == cells(lines[2])[1:]
+
+
+@pytest.mark.parametrize("name", ["a,b.csv", 'say "hi".csv'])
+def test_reduce_traces_quotes_a_file_cell_that_needs_it(run_cli, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    _write_trace_csv(tmp_path / name, *_tone_columns(n=3000, with_ldv=False))
+    code, out = run_cli("reduce-traces", name, "--sample-rate", "300kHz")
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert len(header) == len(row) == 6
+    assert row[0] == name
 
 
 def test_reduce_traces_bad_file(run_cli, tmp_path):

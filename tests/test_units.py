@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -66,9 +68,11 @@ def test_non_finite_value_rejected(parse, text):
 
 
 def _reference_cell(value) -> str:
-    """The per-cell writer that the table writer replaced, kept as the reference."""
+    """The per-cell writer that the table writer replaced, kept as the reference; strings as ``csv`` quotes them."""
     if isinstance(value, str):
-        return value
+        line = io.StringIO()
+        csv.writer(line).writerow([value, ""])  # a second field: csv quotes a lone empty field
+        return line.getvalue().removesuffix(",\r\n")
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -127,5 +131,6 @@ def test_a_non_finite_number_fails_the_whole_table(rows, data):
 def test_table_writer_edges():
     assert units.csv_table("header", []) == ["header"]
     assert units.csv_table("a", [["%s", "100%"], ("x", 1.5)]) == ["a", "%s,100%", "x,1.5"]
+    assert units.csv_table("a,b", [("x,y", 'q"'), ("", "\r\n")]) == ["a,b", '"x,y","q"""', ',"\r\n"']
     with pytest.raises(ValueError):
         units.csv_table("a,b", [(1.0, 2.0), (3.0,)])
