@@ -219,8 +219,8 @@ def test_jacobian_rows_match_central_differences(f_r, resistance, capacitance, s
     truth = params_for(f_r, resistance, capacitance)
     spectrum = bvdfit.generate_spectrum(truth, n_points=201, shunt_resistance=shunt)
     # within 10 % of the truth, angle(Z/Z_meas) stays away from +-pi, where it would jump by 2 pi
-    theta4 = np.log([truth.inductance, truth.capacitance, truth.resistance, truth.static_capacitance]) + np.log(scale)
-    theta = theta4[: 3 + fit_c0]
+    values = [truth.inductance, truth.capacitance, truth.resistance, truth.static_capacitance]
+    theta = np.log(np.multiply(values, scale))[: 3 + fit_c0]
     w = 2.0 * np.pi * spectrum.frequencies
 
     def rows_at(theta):
@@ -234,7 +234,7 @@ def test_jacobian_rows_match_central_differences(f_r, resistance, capacitance, s
             up, down = theta.copy(), theta.copy()
             up[i] += h
             down[i] -= h
-            # divided by the step as stored, which the subtraction gives exactly (Sterbenz)
+            # divided by the step as stored, not by 2h, which the rounding of theta +- h would bias
             out.append(_interleaved(rows_at(up)[1] - rows_at(down)[1]) / (up[i] - down[i]))
         return np.array(out)
 
@@ -245,7 +245,8 @@ def test_jacobian_rows_match_central_differences(f_r, resistance, capacitance, s
     h = 1e-5
     rows, res = rows_at(theta)
     d_h, d_2h = central(h), central(2.0 * h)
-    delta = 8.0 * EPS * (1.0 + np.abs(rows_at(theta4)[0]).sum(axis=0))
+    all_four = theta if fit_c0 else np.append(theta, math.log(C0))
+    delta = 8.0 * EPS * (1.0 + np.abs(rows_at(all_four)[0]).sum(axis=0))
     assert np.all(np.abs(rows - d_h) <= np.abs(d_2h - d_h) + 2.0 * delta / h)
 
     # A dot product of n terms is off by at most n eps |a| |b|, and n eps < 1e-12 at n = 402.
