@@ -66,7 +66,6 @@ class AmplificationResult:
         beta_a: sandwich-region wavenumber (1/m) at the reference frequency.
         beta_p: bare-plate wavenumber (1/m) at the reference frequency.
         n: amplification number (plate amplitude / actuator amplitude).
-        reference_angular_frequency: rad/s at which the betas were taken.
     """
 
     d1_prime: float  # Pa*m^3
@@ -74,7 +73,6 @@ class AmplificationResult:
     beta_a: float  # 1/m
     beta_p: float  # 1/m
     n: float
-    reference_angular_frequency: float  # rad/s
 
     @property
     def n_squared(self) -> float:
@@ -164,7 +162,6 @@ def amplification_number(glass: GlassSpec, actuator: ActuatorSpec) -> Amplificat
         beta_a=beta_a,
         beta_p=beta_p,
         n=_closed_form_n(actuator, glass.thickness, glass.density, glass.youngs_modulus),
-        reference_angular_frequency=REFERENCE_ANGULAR_FREQUENCY,
     )
 
 

@@ -170,13 +170,9 @@ def initial_guess(spectrum: ImpedanceSpectrum, c0: float) -> BvdParams:
     # Box-smooth so per-point noise cannot displace the bump when damping
     # is heavy; width 1 (no-op) for short noise-free sweeps.
     real = np.real(spectrum.impedances)
-    width = max(1, len(real) // 256)
-    if width > 1:
-        kernel = np.ones(width)
-        coverage = np.convolve(np.ones_like(real), kernel, mode="same")
-        bump = np.convolve(real, kernel, mode="same") / coverage
-    else:
-        bump = real
+    kernel = np.ones(max(1, len(real) // 256))
+    coverage = np.convolve(np.ones_like(real), kernel, mode="same")
+    bump = np.convolve(real, kernel, mode="same") / coverage
     i_bump = int(np.argmax(bump))
     last = len(spectrum) - 1
     # Featureless spectra (pure capacitor) have rounding-level Re(Z).

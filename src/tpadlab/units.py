@@ -110,21 +110,17 @@ def parse_velocity(text: str) -> float:
 
 
 _NUMBER = "%.12g"
-# chunks of cells whose text is fixed: "%.0s" takes the cell and prints nothing
-_LITERAL = {True: "true%.0s", False: "false%.0s", None: "%.0s"}
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_TEXT = (str, bool, type(None))  # the kinds of cell that make a column text
 
 
-def _quoted(cell: str) -> str:
-    """A string cell as RFC 4180 writes it: in double quotes, each inner one doubled, if it holds , " CR or LF."""
-    return '"%s"' % cell.replace('"', '""') if _NEEDS_QUOTES.search(cell) else cell
-
-
-def _chunk(cell) -> str:
-    """A cell's part of its row's ``%`` template."""
-    if cell is None or type(cell) is bool:
-        return _LITERAL[cell]
-    return "%s" if isinstance(cell, str) else _NUMBER
+def _text(cell) -> str:
+    """A cell of a column that holds text; RFC 4180 quotes a string with , " CR or LF, doubling each inner "."""
+    if isinstance(cell, str):
+        return '"%s"' % cell.replace('"', '""') if _NEEDS_QUOTES.search(cell) else cell
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    return "" if cell is None else _NUMBER % cell
 
 
 def csv_table(header: str, rows) -> list[str]:
@@ -134,9 +130,8 @@ def csv_table(header: str, rows) -> list[str]:
     or LF: those are quoted as RFC 4180 says, with each inner double quote
     doubled.  None is empty, bools are ``true``/``false`` and numbers
     print to 12 significant digits in ``%g`` style.
-    Each row is rendered by one ``%`` template built from its cells' kinds;
-    when each column holds one kind of cell, other than bool, every row
-    gets the same template.
+    Every row is rendered by one ``%`` template: a column of numbers only
+    takes ``%.12g``, and any other column is turned into text cell by cell.
 
     Raises:
         AnalysisError: a number anywhere in the table is not finite, so no
@@ -145,20 +140,12 @@ def csv_table(header: str, rows) -> list[str]:
     """
     rows = [tuple(row) for row in rows]
     columns = list(zip(*rows, strict=True))
-    shared = []  # per column: the chunk of all its cells, or None where it varies by cell
-    for column in columns:
-        kinds = set(map(type, column))
-        shared.append(_chunk(column[0]) if len(kinds) == 1 and bool not in kinds else None)
-    numbers = [  # the number columns, with 0.0 for the other cells of a varying column
-        column if chunk else [cell if _chunk(cell) == _NUMBER else 0.0 for cell in column]
-        for column, chunk in zip(columns, shared)
-        if chunk in (_NUMBER, None)
-    ]
-    if not all(map(math.isfinite, chain.from_iterable(numbers))):
-        bad = next(filterfalse(math.isfinite, chain.from_iterable(zip(*numbers))))  # the first, row by row
+    text = [any(issubclass(kind, _TEXT) for kind in set(map(type, column))) for column in columns]
+    numbers = chain.from_iterable(rows)
+    if any(text):  # numbers still reads the rows as given
+        numbers = (cell for cell in numbers if not isinstance(cell, _TEXT))
+        rows = zip(*(map(_text, column) if is_text else column for column, is_text in zip(columns, text)))
+    bad = next(filterfalse(math.isfinite, numbers), None)  # the first, row by row
+    if bad is not None:
         raise AnalysisError(f"result outside the model's range (got {float(bad)})")
-    if "%s" in shared or None in shared:  # a column that can hold strings; a table of numbers skips this
-        rows = [tuple(_quoted(cell) if isinstance(cell, str) else cell for cell in row) for row in rows]
-    if None not in shared:
-        return [header, *map(",".join(shared).__mod__, rows)]
-    return [header, *(",".join(c or _chunk(cell) for c, cell in zip(shared, row)) % row for row in rows)]
+    return [header, *map(",".join(["%s" if is_text else _NUMBER for is_text in text]).__mod__, rows)]

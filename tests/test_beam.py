@@ -141,7 +141,6 @@ def test_amplification_result_diagnostics():
     assert result.d2_per_width == pytest.approx(D2_PER_WIDTH_SLG_04, rel=1e-12)
     assert result.beta_a == pytest.approx(BETA_A_SLG_04, rel=1e-12)
     assert result.beta_p == pytest.approx(BETA_P_SLG_04, rel=1e-12)
-    assert result.reference_angular_frequency == pytest.approx(OMEGA, rel=1e-15)
 
 
 def test_closed_form_matches_wavenumber_route():

@@ -127,10 +127,6 @@ MATERIAL_SCHEMA_ERRORS = {
         "{path}: entry 0 key 'youngs_modulus_pa' must be a number",
     ),
     "empty-name": ([dict(_GOOD_RECORD, name="")], "glass name must be non-empty"),
-    "name-splits-a-row": (
-        [dict(_GOOD_RECORD, name="Custom,1.0")],
-        "glass name 'Custom,1.0' holds a comma, a double quote or a line break",
-    ),
 }
 
 
@@ -140,6 +136,14 @@ def test_materials_file_schema_error(capsys, tmp_path, payload, message):
     path.write_text(json.dumps(payload))
     assert cli.main(["materials", "--file", str(path)]) == 2
     assert capsys.readouterr() == ("", f"tpadlab: error: {message.format(path=path)}\n")
+
+
+def test_materials_file_quotes_a_name_that_splits_a_row(run_cli, tmp_path):
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps([dict(_GOOD_RECORD, name="Custom,1.0")]))
+    code, out = run_cli("materials", "--file", str(path), "--show", "Custom,1.0")
+    assert code == 0
+    assert [row[0] for row in csv.reader(io.StringIO(out, newline=""))] == ["name", "Custom,1.0"]
 
 
 def test_materials_malformed_file(run_cli, tmp_path):
@@ -506,11 +510,13 @@ def test_beam_rejects_infinite_thickness(run_cli):
     assert (code, out) == (64, "")
 
 
-def test_beam_rejects_a_name_that_splits_the_row(capsys):
+def test_beam_quotes_a_name_that_splits_the_row(capsys):
     argv = ["beam", "--thickness", "1mm", "--density", "2500", "--youngs-modulus", "70GPa", "--name", "a,b"]
-    assert cli.main(argv) == 2
-    message = "glass name 'a,b' holds a comma, a double quote or a line break"
-    assert capsys.readouterr() == ("", f"tpadlab: error: {message}\n")
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    header, row = csv.reader(io.StringIO(out, newline=""))
+    assert (len(row), row[0]) == (len(header), "a,b")
 
 
 def test_beam_rejects_infinite_actuator_density(run_cli):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -158,6 +160,14 @@ def test_glass_spec_rejects_nonpositive_values():
 
 
 @pytest.mark.parametrize("name", ["a,b", 'say "x"', "a\rb", "a\nb", "\n"])
-def test_glass_spec_rejects_names_that_break_a_csv_row(name):
-    with pytest.raises(InvalidProperty, match="holds a comma, a double quote or a line break"):
-        materials.GlassSpec(name, 0.4e-3, 2483.0, 71e9)
+def test_glass_spec_rejects_names_that_break_a_csv_row(run_cli, tmp_path, name):
+    """No name breaks a row: the table writer quotes it, and ``csv`` reads it back as one cell."""
+    path = tmp_path / "extra.json"
+    record = {"name": name, "thickness_m": 1e-3, "density_kg_m3": 2500, "youngs_modulus_pa": 7e10}
+    path.write_text(json.dumps([record]))
+    code, out = run_cli("materials", "--file", str(path), "--show", name)
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out, newline=""))) == [
+        ["name", "thickness_m", "density_kg_m3", "youngs_modulus_pa"],
+        [name, "0.001", "2500", "70000000000"],
+    ]
