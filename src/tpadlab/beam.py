@@ -115,8 +115,7 @@ def wavenumbers(
     for the bare plate.  Both scale as sqrt(w), so their ratio is
     frequency-independent.
     """
-    if not angular_frequency > 0:
-        raise InvalidProperty(f"angular_frequency must be positive, got {angular_frequency!r}")
+    require_positive(locals(), "", "angular_frequency")
     d1 = flexural_stiffness_sandwich(glass, actuator, geom)
     mu1 = geom.width * (actuator.density * actuator.thickness + glass.density * glass.thickness)
     beta_a = (mu1 * angular_frequency**2 / d1) ** 0.25

@@ -164,8 +164,7 @@ def initial_guess(spectrum: ImpedanceSpectrum, c0: float) -> BvdParams:
         NoResonanceFound: no resistive bump with an interior minimum/maximum
             pair around it.
     """
-    if not c0 > 0:
-        raise InvalidProperty(f"c0 must be positive, got {c0!r}")
+    require_positive(locals(), "", "c0")
     mag = np.abs(spectrum.impedances)
     # Box-smooth so per-point noise cannot displace the bump when damping
     # is heavy; width 1 (no-op) for short noise-free sweeps.

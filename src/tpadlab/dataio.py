@@ -32,6 +32,7 @@ from .errors import (
     InvalidProperty,
     MalformedTraceFile,
     NoLdvChannel,
+    require_positive,
 )
 from .units import LDV_KINDS
 
@@ -71,9 +72,9 @@ class TimeTraces:
     ldv_kind: str | None = None
 
     def __post_init__(self):
-        if not self.sample_rate > 2.0 * EXPECTED_DRIVE_BAND_HZ[1]:
+        if not 2.0 * EXPECTED_DRIVE_BAND_HZ[1] < self.sample_rate < np.inf:
             raise InvalidProperty(
-                f"sample_rate must exceed {2.0 * EXPECTED_DRIVE_BAND_HZ[1]:.0f} Hz "
+                f"sample_rate must be finite and exceed {2.0 * EXPECTED_DRIVE_BAND_HZ[1]:.0f} Hz "
                 f"(twice the highest expected drive frequency), got {self.sample_rate!r}"
             )
         # the record's own contiguous, read-only copy of each channel
@@ -88,7 +89,7 @@ class TimeTraces:
         for name, s in zip(("v_piezo", "v_shunt", "ldv"), series):
             if not np.all(np.isfinite(s)):
                 raise InvalidProperty(f"trace channel {name} holds non-finite samples")
-        min_len = int(np.ceil(MIN_PERIODS * self.sample_rate / EXPECTED_DRIVE_BAND_HZ[0]))
+        min_len = int(np.ceil(MIN_PERIODS * (self.sample_rate / EXPECTED_DRIVE_BAND_HZ[0])))
         if v_piezo.size < min_len:
             raise InsufficientSamples(
                 f"need at least {min_len} samples ({MIN_PERIODS} periods of "
@@ -149,10 +150,6 @@ class TrialSummary:
     amplitude: float | None  # m
     rms_current: float  # A
     amplitude_low_confidence: bool | None = False
-
-    def __post_init__(self):
-        if self.amplitude is not None and not self.amplitude >= 0:
-            raise InvalidProperty(f"amplitude must be >= 0, got {self.amplitude!r}")
 
 
 def _scan_rows(handle, width: int) -> tuple[list[list[float]], str | None]:
@@ -280,13 +277,13 @@ def detect_drive_frequency(traces: TimeTraces) -> float:
 def _integer_period_length(traces: TimeTraces, drive_frequency: float | None) -> tuple[float, int]:
     """The drive frequency (detected from v_piezo when None) and the largest
     sample count <= len(traces) covering a whole number of its periods."""
-    frequency = drive_frequency if drive_frequency is not None else detect_drive_frequency(traces)
-    if not frequency > 0:
-        raise InvalidProperty(f"drive_frequency must be positive, got {frequency!r}")
-    periods = int(np.floor(len(traces) * frequency / traces.sample_rate))
+    if drive_frequency is None:
+        drive_frequency = detect_drive_frequency(traces)
+    require_positive(locals(), "", "drive_frequency")
+    periods = int(np.floor(len(traces) * drive_frequency / traces.sample_rate))
     if periods < 1:
-        raise InsufficientSamples(f"trace covers less than one period of {frequency:.1f} Hz")
-    return frequency, min(len(traces), int(round(periods * traces.sample_rate / frequency)))
+        raise InsufficientSamples(f"trace covers less than one period of {drive_frequency:.1f} Hz")
+    return drive_frequency, min(len(traces), int(round(periods * traces.sample_rate / drive_frequency)))
 
 
 def real_power_from_traces(
@@ -298,8 +295,7 @@ def real_power_from_traces(
     number of drive periods (trailing partial period dropped).  When
     ``drive_frequency`` is omitted it is detected from v_piezo.
     """
-    if not shunt_resistance > 0:
-        raise InvalidProperty(f"shunt_resistance must be positive, got {shunt_resistance!r}")
+    require_positive(locals(), "", "shunt_resistance")
     _, m = _integer_period_length(traces, drive_frequency)
     current = traces.v_shunt[:m] / shunt_resistance
     return float(np.mean(traces.v_piezo[:m] * current))
@@ -398,8 +394,7 @@ def summarize_trial(traces: TimeTraces, shunt_resistance: float) -> TrialSummary
     Raises:
         DriveFrequencyNotFound: non-null traces without an in-band tone.
     """
-    if not shunt_resistance > 0:
-        raise InvalidProperty(f"shunt_resistance must be positive, got {shunt_resistance!r}")
+    require_positive(locals(), "", "shunt_resistance")
     has_ldv = traces.ldv is not None
     silent = not np.any(traces.v_piezo) and not np.any(traces.v_shunt)
     if silent and not (has_ldv and np.any(traces.ldv)):

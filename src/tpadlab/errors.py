@@ -51,10 +51,6 @@ class InsufficientSamples(ParseError):
     """A time trace is too short to analyze."""
 
 
-class DegenerateAmplitude(AnalysisError):
-    """Vibration amplitude is zero where a finite value is required."""
-
-
 class OutOfContourRange(AnalysisError):
     """Frequency lies outside the fitted friction-contour band."""
 
@@ -88,13 +84,13 @@ class EmptyGrid(AnalysisError):
 
 
 def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False) -> None:
-    """Raise InvalidProperty unless the named fields of a value record are finite reals > 0.
-
-    With ``allow_zero`` they may also be 0.  The message names the field
-    after ``prefix``: ``glass density must be positive and finite, got inf``.
+    """Raise InvalidProperty unless the named fields of a value record, or a mapping such as
+    ``locals()``, are finite reals > 0 (or 0 too, with ``allow_zero``).  The message names the
+    field after ``prefix``: ``glass density must be positive and finite, got inf``.
     """
+    values = record if isinstance(record, dict) else vars(record)
     for field in fields:
-        value = getattr(record, field)
+        value = values[field]
         finite = isinstance(value, numbers.Real) and math.isfinite(value)
         if not (finite and (value >= 0 if allow_zero else value > 0)):
             rule = ">= 0" if allow_zero else "positive"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateAmplitude, InvalidProperty, OutOfContourRange, require_positive
+from .errors import InvalidProperty, OutOfContourRange, require_positive
 
 ATMOSPHERIC_PRESSURE_PA = 101325.0
 
@@ -95,18 +95,9 @@ DEFAULT_FRICTION_PARAMS = FrictionParams()
 
 
 def psi(vib: VibrationState, params: FrictionParams = DEFAULT_FRICTION_PARAMS) -> float:
-    """Dimensionless vibration number Psi = U / (f * alpha * mu0 * (1+nu)).
-
-    Raises:
-        DegenerateAmplitude: amplitude is zero (Psi diverges; callers
-            wanting the friction limit should use
-            :func:`relative_friction_velocity`, which returns 1 there).
-    """
-    if vib.amplitude == 0:
-        raise DegenerateAmplitude("psi is undefined at zero amplitude")
-    return params.explore_velocity / (
-        vib.frequency * vib.amplitude * params.mu0 * (1.0 + params.poisson)
-    )
+    """Dimensionless vibration number Psi = U / (f * alpha * mu0 * (1+nu)); ``math.inf`` at rest."""
+    denominator = vib.frequency * vib.amplitude * params.mu0 * (1.0 + params.poisson)
+    return params.explore_velocity / denominator if denominator else math.inf
 
 
 def relative_friction_velocity(
@@ -114,11 +105,9 @@ def relative_friction_velocity(
 ) -> float:
     """Relative friction force mu' = 1 - exp(-Psi/Psi*) in [0, 1].
 
-    At zero amplitude the limit value 1 is returned (vibration off, no
+    At zero amplitude Psi is infinite and mu' is 1 (vibration off, no
     friction reduction).
     """
-    if vib.amplitude == 0:
-        return 1.0
     return 1.0 - math.exp(-psi(vib, params) / params.psi_star)
 
 
@@ -127,8 +116,7 @@ def relative_friction_squeeze(amplitude: float, params: SqueezeFilmParams) -> fl
 
     ``amplitude`` is the vibration amplitude in m, >= 0.
     """
-    if not amplitude >= 0:
-        raise InvalidProperty(f"amplitude must be >= 0, got {amplitude!r}")
+    require_positive(locals(), "", "amplitude", allow_zero=True)
     exponent = 5.0 * amplitude**2 * params.p0 / (4.0 * params.u0**2 * params.ps)
     return math.exp(-exponent)
 

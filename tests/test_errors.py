@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from tpadlab.beam import BeamGeometry
+from tpadlab.beam import BeamGeometry, wavenumbers
+from tpadlab.bvdfit import generate_spectrum, initial_guess
 from tpadlab.circuit import BvdParams, DriveConfig
+from tpadlab.dataio import TimeTraces, amplitude_from_ldv, noise_floor, real_power_from_traces, summarize_trial
 from tpadlab.errors import InvalidProperty
-from tpadlab.friction import FrictionParams, SqueezeFilmParams, VibrationState
+from tpadlab.friction import FrictionParams, SqueezeFilmParams, VibrationState, relative_friction_squeeze
 from tpadlab.materials import ActuatorSpec, GlassSpec
 
 # each value record with valid arguments, and the message prefix of its fields
@@ -56,3 +59,41 @@ def test_zero_is_allowed_where_documented(record, field):
     assert getattr(record(**{**kwargs, field: 0.0}), field) == 0.0
     with pytest.raises(InvalidProperty, match=f"{field} must be >= 0 and finite, got -1e-09"):
         record(**{**kwargs, field: -1e-9})
+
+
+FS = 300e3
+_TONE = np.sin(2.0 * math.pi * 30e3 * np.arange(3000) / FS)
+TRACES = TimeTraces(FS, 40.0 * _TONE, 10.0 * _TONE, 3e-6 * _TONE, "displacement")
+SPECTRUM = generate_spectrum(BvdParams(28.1e-3, 1e-9, 2150.0, 9.88e-9))
+GLASS = GlassSpec("g", 4e-4, 2483.0, 71e9)
+ACTUATOR = ActuatorSpec(3e-4, 7900.0, 84e9, 9.88e-9)
+
+# the scalar argument of each library call, a valid value, and whether 0 is valid too
+SCALAR_ARGUMENTS = {
+    "amplitude_from_ldv": (lambda v: amplitude_from_ldv(TRACES, v), "drive_frequency", 30e3, False),
+    "noise_floor": (lambda v: noise_floor(TRACES, v), "drive_frequency", 30e3, False),
+    "real_power_from_traces-frequency": (
+        lambda v: real_power_from_traces(TRACES, 100.0, v), "drive_frequency", 30e3, False
+    ),
+    "real_power_from_traces-shunt": (lambda v: real_power_from_traces(TRACES, v), "shunt_resistance", 100.0, False),
+    "summarize_trial": (lambda v: summarize_trial(TRACES, v), "shunt_resistance", 100.0, False),
+    "TimeTraces": (lambda v: TimeTraces(v, TRACES.v_piezo, TRACES.v_shunt), "sample_rate", FS, False),
+    "initial_guess": (lambda v: initial_guess(SPECTRUM, v), "c0", 9.88e-9, False),
+    "wavenumbers": (lambda v: wavenumbers(GLASS, ACTUATOR, BeamGeometry(), v), "angular_frequency", 1.9e5, False),
+    "relative_friction_squeeze": (
+        lambda v: relative_friction_squeeze(v, SqueezeFilmParams(2e-6, 1e5)), "amplitude", 3e-6, True
+    ),
+}
+SCALAR_CASES = [
+    (name, bad)
+    for name, (_, _, _, zero_ok) in SCALAR_ARGUMENTS.items()
+    for bad in (math.inf, math.nan, -1.0, *(() if zero_ok else (0.0,)))
+]
+
+
+@pytest.mark.parametrize("name,bad", SCALAR_CASES, ids=[f"{name}={bad!r}" for name, bad in SCALAR_CASES])
+def test_scalar_arguments_outside_their_range_are_invalid(name, bad):
+    call, argument, good, _ = SCALAR_ARGUMENTS[name]
+    call(good)
+    with pytest.raises(InvalidProperty, match=f"^{argument} must be "):
+        call(bad)
