@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyGrid, InvalidProperty, require_positive
+from .errors import AnalysisError, EmptyGrid, require_positive
 from .materials import ActuatorSpec, GlassSpec
 
 # Reference plate footprint of the builtin library devices: 60 x 130 mm,
@@ -118,10 +118,9 @@ def wavenumbers(
     require_positive(locals(), "", "angular_frequency")
     d1 = flexural_stiffness_sandwich(glass, actuator, geom)
     mu1 = geom.width * (actuator.density * actuator.thickness + glass.density * glass.thickness)
-    beta_a = (mu1 * angular_frequency**2 / d1) ** 0.25
-    beta_p = (
-        12.0 * angular_frequency**2 * glass.density / (glass.youngs_modulus * glass.thickness**2)
-    ) ** 0.25
+    # roots taken factor by factor, so that no product leaves float range before its root is taken
+    beta_a = math.sqrt(angular_frequency) * (mu1 / d1) ** 0.25
+    beta_p = math.sqrt(angular_frequency / glass.thickness) * 12.0**0.25 * glass.density**0.25 / glass.youngs_modulus**0.25
     return beta_a, beta_p
 
 
@@ -203,8 +202,8 @@ def sweep_amplification(
 
     Raises:
         EmptyGrid: the grid has no points.
-        InvalidProperty: a grid value that :class:`GlassSpec` rejects (with
-            its message), or one that gives a non-finite n^2.
+        InvalidProperty: a grid value that :class:`GlassSpec` rejects.
+        AnalysisError: a grid value that gives a non-finite n^2.
     """
     import numpy as np
 
@@ -221,5 +220,5 @@ def sweep_amplification(
     if not usable.all():
         value = float(values[~usable][0])
         GlassSpec(glass.name, **{**fields, axis: value})  # raises for a value a glass may not have
-        raise InvalidProperty(f"glass {axis} {value!r} is outside the model's range: n^2 is not finite")
+        raise AnalysisError(f"result outside the model's range (glass {axis} {value!r} gives a non-finite n^2)")
     return list(zip(values.tolist(), n.tolist(), n_squared.tolist()))

@@ -528,9 +528,11 @@ def test_beam_rejects_infinite_density_in_material_file(run_cli, tmp_path):
     assert run_cli("beam", "--glass", "X", "--file", extra) == (2, "")
 
 
-def test_beam_sweep_rejects_points_outside_the_model(run_cli):
-    code, out = run_cli("beam", "--glass", "SLG_0.4", "--sweep", "thickness", "--grid-values", "0.4mm,1e-200")
-    assert (code, out) == (2, "")
+def test_beam_sweep_rejects_points_outside_the_model(capsys):
+    # exit 3, as a single point with that thickness is; a value GlassSpec rejects stays exit 2
+    assert cli.main(["beam", "--glass", "SLG_0.4", "--sweep", "thickness", "--grid-values", "0.4mm,1e-200"]) == 3
+    message = "result outside the model's range (glass thickness 1e-200 gives a non-finite n^2)"
+    assert capsys.readouterr() == ("", f"tpadlab: error: {message}\n")
 
 
 def test_beam_glass_and_explicit_are_exclusive(run_cli):

@@ -12,7 +12,8 @@ run must end in a documented exit code (0, 2, 3 or 64) and raise nothing
 else; on exit 0 every row, as ``csv`` reads it, must have one cell per
 header column, and every number cell must be finite.  The one documented
 exception is the ``psi`` cell of ``friction --model velocity`` at zero
-amplitude, which prints ``inf``.
+amplitude, which prints ``inf``.  A drawn glass value exits alike at a
+single ``beam`` point and as a one-value sweep.
 """
 
 import contextlib
@@ -262,6 +263,21 @@ def test_circuit_flags(argv):
 @given(argv=BEAM)
 def test_beam_flags(argv):
     _check(argv)
+
+
+# a glass inside the model's range; the drawn axis value replaces one of its fields
+_GLASS_FIELDS = {"thickness": "0.4mm", "density": "2483", "youngs_modulus": "71GPa"}
+
+
+@settings(max_examples=150)
+@given(axis=st.sampled_from(beam.SWEEP_AXES), value=VALUES)
+def test_a_sweep_point_exits_as_the_single_point_does(axis, value):
+    def glass(fields):
+        return [f"--{field.replace('_', '-')}={text}" for field, text in fields.items()]
+
+    point = _run(["beam", *glass({**_GLASS_FIELDS, axis: repr(value)})])[0]
+    sweep = _run(["beam", *glass(_GLASS_FIELDS), "--sweep", axis, f"--grid-values={value!r}"])[0]
+    assert point == sweep, (axis, value)
 
 
 @settings(max_examples=40)
