@@ -270,7 +270,10 @@ def _cmd_reduce_traces(args, parser) -> list[str]:
         traces = dataio.load_traces_csv(path, args.sample_rate, ldv_kind=args.ldv_kind)
         with np.errstate(all="ignore"):  # samples near float range give inf or nan, a typed error below
             if args.piezo_column == "source":
-                traces = dataclasses.replace(traces, v_piezo=traces.v_piezo - traces.v_shunt)
+                v_piezo = traces.v_piezo - traces.v_shunt
+                if not np.isfinite(v_piezo).all():
+                    raise AnalysisError("result outside the model's range (v_piezo - v_shunt is not finite)")
+                traces = dataclasses.replace(traces, v_piezo=v_piezo)
             s = dataio.summarize_trial(traces, args.shunt)
         row = (path, s.drive_frequency, s.real_power, s.amplitude, s.rms_current)
         rows.append((*row, s.amplitude_low_confidence))

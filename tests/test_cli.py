@@ -885,12 +885,21 @@ OUT_OF_RANGE = {
         "circuit", "--inductance", "1e-300", "--capacitance", "1e-300", "--resistance", "2150",
         "--c0", "9.88nF", "--voltage", "10",
     ),
+    # {capture}: v_piezo = -v_shunt = 1.5e308 sin, so the source-side v_piezo - v_shunt overflows
+    "reduce-source-side-overflow": ("reduce-traces", "{capture}", "--sample-rate", "300kHz", "--piezo-column", "source"),
 }
 
 
+@pytest.fixture(scope="module")
+def opposed_capture(scratch):
+    """20,000 rows at 300 kHz of a 30 kHz tone, each channel finite and near the top of float range."""
+    v_piezo = 1.5e308 * np.sin(2.0 * math.pi * 30e3 * np.arange(20_000) / FS)
+    return _write_trace_csv(scratch / "opposed.csv", v_piezo, -v_piezo)
+
+
 @pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
-def test_result_outside_the_model_is_an_analysis_failure(run_cli_child, argv):
-    run = run_cli_child(*argv)
+def test_result_outside_the_model_is_an_analysis_failure(run_cli_child, opposed_capture, argv):
+    run = run_cli_child(*(arg.format(capture=opposed_capture) for arg in argv))
     assert (run.code, run.out) == (3, "")
     assert "Traceback" not in run.err
     assert run.err.startswith("tpadlab: error: result outside the model's range (")
