@@ -215,11 +215,14 @@ def _parse_grid(args, parser, axis: str):
         parser.error(f"--grid must be START:STOP:COUNT, got {args.grid!r}")
     try:
         start, stop = parse_value(parts[0]), parse_value(parts[1])
-        count = int(parts[2])
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        count = int(parts[2])
+    except ValueError:
+        count = 0
     if count < 1:
-        parser.error("--grid COUNT must be >= 1")
+        parser.error(f"--grid COUNT must be an integer >= 1, got {parts[2]!r}")
     import numpy as np
 
     return np.linspace(start, stop, count)

@@ -6,13 +6,14 @@ accepts a bare number (taken as SI) or a number followed by one of the
 listed suffixes, with optional whitespace in between, e.g. ``"0.4mm"``,
 ``"2.483 g/cm3"``, ``"71 kN/mm2"``, ``"9.88nF"``.
 
-Parsers raise :class:`ValueError` on unknown suffixes and on values that
+Parsers raise :class:`UnitError` on unknown suffixes and on values that
 overflow to infinity, so they can be used directly as ``argparse`` type
-callables (argparse turns that into a usage error).
+callables (argparse turns that into a usage error that keeps the message).
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import re
 from itertools import chain, filterfalse
@@ -44,19 +45,23 @@ _VELOCITY = {"": 1.0, "m/s": 1.0, "mm/s": 1e-3, "cm/s": 1e-2}
 LDV_KINDS = ("displacement", "velocity")
 
 
+class UnitError(argparse.ArgumentTypeError, ValueError):
+    """A quantity that does not parse; argparse prints its message after the flag's name."""
+
+
 def _parse(text: str, table: dict[str, float], kind: str, casefold: bool = True) -> float:
     match = _QUANTITY_RE.match(text)
     if not match:
-        raise ValueError(f"cannot parse {kind} value {text!r}")
+        raise UnitError(f"cannot parse {kind} value {text!r}")
     value, suffix = match.groups()
     if casefold:
         suffix = suffix.lower()
     if suffix not in table:
         known = ", ".join(sorted(s for s in table if s))
-        raise ValueError(f"unknown {kind} unit {suffix!r} in {text!r} (expected one of: {known})")
+        raise UnitError(f"unknown {kind} unit {suffix!r} in {text!r} (expected one of: {known})")
     result = float(value) * table[suffix]
     if not math.isfinite(result):
-        raise ValueError(f"{kind} value {text!r} is not finite")
+        raise UnitError(f"{kind} value {text!r} is not finite")
     return result
 
 

@@ -572,6 +572,33 @@ def test_beam_sweep_needs_grid(run_cli):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        (("--grid-values", "1mm,2xx"), "unknown length unit 'xx' in '2xx' (expected one of: m, mm, nm, um, µm, μm)"),
+        (("--grid", "1mm:2xx:3"), "unknown length unit 'xx' in '2xx' (expected one of: m, mm, nm, um, µm, μm)"),
+        (("--grid", "1mm:2mm:x"), "--grid COUNT must be an integer >= 1, got 'x'"),
+        (("--grid", "1mm:2mm:0"), "--grid COUNT must be an integer >= 1, got '0'"),
+    ],
+    ids=["grid-values-unit", "grid-unit", "grid-count-text", "grid-count-zero"],
+)
+def test_beam_bad_grid_names_the_fault(capsys, grid, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["beam", "--glass", "SLG_0.4", "--sweep", "thickness", *grid])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"tpadlab beam: error: {message}\n")
+
+
+def test_unit_messages_reach_flag_users(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["friction", "--model", "contour", "--freq", "30xx"])
+    assert exc.value.code == 64
+    message = "argument --freq: unknown frequency unit 'xx' in '30xx' (expected one of: hz, khz, mhz)"
+    assert capsys.readouterr().err.endswith(f"tpadlab friction: error: {message}\n")
+
+
 def test_beam_bad_grid_shape(run_cli):
     code, _ = run_cli("beam", "--glass", "SLG_0.4", "--sweep", "thickness", "--grid", "0.4mm:0.8mm")
     assert code == 64
