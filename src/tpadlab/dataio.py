@@ -222,9 +222,9 @@ def load_traces_csv(path, sample_rate: float, ldv_kind: str | None = None) -> Ti
     """Read a trial capture CSV with header ``v_piezo,v_shunt[,ldv]``.
 
     ``sample_rate`` is supplied by the caller (the file carries no
-    timing).  ``ldv_kind`` must be given when the file has an ldv column.
-    Cells are numbers as Python's ``float`` reads them; blank lines are
-    skipped.
+    timing).  ``ldv_kind`` must be given when the file has an ldv column,
+    else :class:`TimeTraces` raises ``InvalidProperty``.  Cells are
+    numbers as Python's ``float`` reads them; blank lines are skipped.
 
     Raises:
         MalformedTraceFile: unreadable or not UTF-8, wrong header, ragged
@@ -237,8 +237,6 @@ def load_traces_csv(path, sample_rate: float, ldv_kind: str | None = None) -> Ti
             raise MalformedTraceFile(f"{path}: empty file")
         if header not in (("v_piezo", "v_shunt"), ("v_piezo", "v_shunt", "ldv")):
             raise MalformedTraceFile(f"{path}: header must be v_piezo,v_shunt[,ldv], got {','.join(header)}")
-        if len(header) == 3 and ldv_kind is None:
-            raise ValueError(f"{path} has an ldv column; pass ldv_kind explicitly")
 
     v_piezo, v_shunt, *ldv = _read_csv_table(path, check_header, MalformedTraceFile, "trace").T
     return TimeTraces(sample_rate, v_piezo, v_shunt, ldv[0] if ldv else None, ldv_kind if ldv else None)
@@ -255,12 +253,10 @@ def detect_drive_frequency(traces: TimeTraces) -> float:
             :data:`EXPECTED_DRIVE_BAND_HZ`.
     """
     x = traces.v_piezo - np.mean(traces.v_piezo)
-    magnitudes = np.abs(np.fft.rfft(x))
-    if magnitudes.size < 3:
-        raise DriveFrequencyNotFound("trace too short for spectral analysis")
+    magnitudes = np.abs(np.fft.rfft(x))  # at least 9 bins: a valid record holds at least 17 samples
     k = int(np.argmax(magnitudes[1:])) + 1
     delta = 0.0
-    if 1 <= k < magnitudes.size - 1 and np.all(magnitudes[k - 1 : k + 2] > 0):
+    if k < magnitudes.size - 1 and np.all(magnitudes[k - 1 : k + 2] > 0):
         a, b, c = np.log(magnitudes[k - 1 : k + 2])
         denom = a - 2.0 * b + c
         if denom < 0:
@@ -279,10 +275,10 @@ def _integer_period_length(traces: TimeTraces, drive_frequency: float | None) ->
     sample count <= len(traces) covering a whole number of its periods."""
     if drive_frequency is None:
         drive_frequency = detect_drive_frequency(traces)
-    require_positive(locals(), "", "drive_frequency")
+    lo, hi = EXPECTED_DRIVE_BAND_HZ
+    if not lo <= drive_frequency <= hi:  # so a valid record covers at least MIN_PERIODS periods
+        raise InvalidProperty(f"drive_frequency must be in [{lo:.0f}, {hi:.0f}] Hz, got {drive_frequency!r}")
     periods = int(np.floor(len(traces) * drive_frequency / traces.sample_rate))
-    if periods < 1:
-        raise InsufficientSamples(f"trace covers less than one period of {drive_frequency:.1f} Hz")
     return drive_frequency, min(len(traces), int(round(periods * traces.sample_rate / drive_frequency)))
 
 

@@ -39,8 +39,8 @@ class MalformedTraceFile(ParseError):
     """Time-trace CSV violates the expected layout."""
 
 
-class InvalidProperty(ParseError):
-    """A physical property value is outside its admissible range."""
+class InvalidProperty(ParseError, ValueError):
+    """A physical property value is outside its admissible range (also a ``ValueError``)."""
 
 
 class UnknownMaterial(ParseError):

@@ -140,8 +140,9 @@ def test_load_three_column_csv_requires_kind(tmp_path):
     ldv = 3e-6 * np.sin(2.0 * math.pi * 30e3 * t)
     path = tmp_path / "trial.csv"
     _write_csv(path, [traces.v_piezo, traces.v_shunt, ldv], "v_piezo,v_shunt,ldv")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProperty, match="^ldv_kind must be one of") as exc:
         dataio.load_traces_csv(path, FS)
+    assert isinstance(exc.value, ValueError)  # callers that catch ValueError keep working
     loaded = dataio.load_traces_csv(path, FS, ldv_kind="displacement")
     assert loaded.ldv_kind == "displacement"
     assert loaded.ldv is not None

@@ -84,10 +84,12 @@ SCALAR_ARGUMENTS = {
         lambda v: relative_friction_squeeze(v, SqueezeFilmParams(2e-6, 1e5)), "amplitude", 3e-6, True
     ),
 }
+# positive finite values still outside an argument's range: the drive band is 15-60 kHz
+OUTSIDE_RANGE = {"drive_frequency": (1e308, 1e3, 7e4)}
 SCALAR_CASES = [
     (name, bad)
-    for name, (_, _, _, zero_ok) in SCALAR_ARGUMENTS.items()
-    for bad in (math.inf, math.nan, -1.0, *(() if zero_ok else (0.0,)))
+    for name, (_, argument, _, zero_ok) in SCALAR_ARGUMENTS.items()
+    for bad in (math.inf, math.nan, -1.0, *(() if zero_ok else (0.0,)), *OUTSIDE_RANGE.get(argument, ()))
 ]
 
 
