@@ -4,7 +4,9 @@ All internal computation is strict SI (m, kg, s, Hz, Pa, F, Ohm, V, W).
 Conversions happen only here, at the program boundary.  Each parser
 accepts a bare number (taken as SI) or a number followed by one of the
 listed suffixes, with optional whitespace in between, e.g. ``"0.4mm"``,
-``"2.483 g/cm3"``, ``"71 kN/mm2"``, ``"9.88nF"``.
+``"2.483 g/cm3"``, ``"71 kN/mm2"``, ``"9.88nF"``.  A suffix matches in any
+case, except that a leading ``m`` (milli, or metre) and ``M`` (mega) must be
+typed as listed: ``"30kHZ"`` is 30 kHz, and ``"30mHz"`` is an unknown unit.
 
 Parsers raise :class:`UnitError` on unknown suffixes and on values that
 overflow to infinity, so they can be used directly as ``argparse`` type
@@ -22,23 +24,15 @@ from .errors import AnalysisError
 
 _QUANTITY_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
 
-# suffix -> multiplier into the SI unit of each quantity kind
+# suffix -> multiplier into the SI unit of each quantity kind, each suffix in its canonical spelling
 _LENGTH = {"": 1.0, "m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "μm": 1e-6, "nm": 1e-9}
 _DENSITY = {"": 1.0, "kg/m3": 1.0, "g/cm3": 1e3, "g/cc": 1e3}
-_PRESSURE = {
-    "": 1.0,
-    "pa": 1.0,
-    "kpa": 1e3,
-    "mpa": 1e6,
-    "gpa": 1e9,
-    "n/mm2": 1e6,
-    "kn/mm2": 1e9,
-}
-_FREQUENCY = {"": 1.0, "hz": 1.0, "khz": 1e3, "mhz": 1e6}
-_CAPACITANCE = {"": 1.0, "f": 1.0, "mf": 1e-3, "uf": 1e-6, "nf": 1e-9, "pf": 1e-12}
-_RESISTANCE = {"": 1.0, "ohm": 1.0, "kohm": 1e3, "mohm": 1e6}
-_INDUCTANCE = {"": 1.0, "h": 1.0, "mh": 1e-3, "uh": 1e-6}
-_VOLTAGE = {"": 1.0, "v": 1.0, "kv": 1e3, "mv": 1e-3}
+_PRESSURE = {"": 1.0, "Pa": 1.0, "kPa": 1e3, "MPa": 1e6, "GPa": 1e9, "N/mm2": 1e6, "kN/mm2": 1e9}
+_FREQUENCY = {"": 1.0, "Hz": 1.0, "kHz": 1e3, "MHz": 1e6}
+_CAPACITANCE = {"": 1.0, "F": 1.0, "mF": 1e-3, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12}
+_RESISTANCE = {"": 1.0, "ohm": 1.0, "kohm": 1e3, "Mohm": 1e6}
+_INDUCTANCE = {"": 1.0, "H": 1.0, "mH": 1e-3, "uH": 1e-6}
+_VOLTAGE = {"": 1.0, "V": 1.0, "kV": 1e3, "mV": 1e-3}
 _VELOCITY = {"": 1.0, "m/s": 1.0, "mm/s": 1e-3, "cm/s": 1e-2}
 
 # what a vibrometer (LDV) channel carries: a displacement in m or a velocity in m/s
@@ -49,30 +43,30 @@ class UnitError(argparse.ArgumentTypeError, ValueError):
     """A quantity that does not parse; argparse prints its message after the flag's name."""
 
 
-def _parse(text: str, table: dict[str, float], kind: str, casefold: bool = True) -> float:
+def _parse(text: str, table: dict[str, float], kind: str) -> float:
     match = _QUANTITY_RE.match(text)
     if not match:
         raise UnitError(f"cannot parse {kind} value {text!r}")
     value, suffix = match.groups()
-    if casefold:
-        suffix = suffix.lower()
-    if suffix not in table:
+    # any case matches, except that a leading m (milli, metre) and M (mega) differ
+    folded, lead = suffix.lower(), suffix[:1] if suffix[:1] in ("m", "M") else None
+    unit = next((u for u in table if u.lower() == folded and lead in (None, u[:1])), None)
+    if unit is None:
         known = ", ".join(sorted(s for s in table if s))
         raise UnitError(f"unknown {kind} unit {suffix!r} in {text!r} (expected one of: {known})")
-    result = float(value) * table[suffix]
+    result = float(value) * table[unit]
     if not math.isfinite(result):
         raise UnitError(f"{kind} value {text!r} is not finite")
     return result
 
 
 def parse_length(text: str) -> float:
-    """Parse a length, returning meters.  Suffixes: m, mm, um, nm."""
-    # case-sensitive: mm vs m matters, and so would mF vs F elsewhere
-    return _parse(text, _LENGTH, "length", casefold=False)
+    """Parse a length, returning meters.  Suffixes: m, mm, um, µm, μm, nm."""
+    return _parse(text, _LENGTH, "length")
 
 
 def parse_density(text: str) -> float:
-    """Parse a density, returning kg/m^3.  Suffixes: kg/m3, g/cm3."""
+    """Parse a density, returning kg/m^3.  Suffixes: kg/m3, g/cm3, g/cc."""
     return _parse(text, _DENSITY, "density")
 
 

@@ -595,8 +595,14 @@ def test_unit_messages_reach_flag_users(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["friction", "--model", "contour", "--freq", "30xx"])
     assert exc.value.code == 64
-    message = "argument --freq: unknown frequency unit 'xx' in '30xx' (expected one of: hz, khz, mhz)"
+    message = "argument --freq: unknown frequency unit 'xx' in '30xx' (expected one of: Hz, MHz, kHz)"
     assert capsys.readouterr().err.endswith(f"tpadlab friction: error: {message}\n")
+
+
+def test_a_mega_suffix_is_no_milli_suffix(run_cli):
+    # 40MV once parsed as 40 mV and exited 0
+    assert run_cli(*CIRCUIT_ARGS, "--voltage", "40MV") == (64, "")
+    assert run_cli(*CIRCUIT_ARGS, "--voltage", "40mv")[0] == 0
 
 
 def test_beam_bad_grid_shape(run_cli):

@@ -37,7 +37,7 @@ def test_suffix_parsing(parse, text, expected):
 
 
 def test_length_suffix_is_case_sensitive():
-    # mm and m differ only by case of repetition; no folding for lengths
+    # a leading m never folds to M, so "4 Meters" is no length even where case folds elsewhere
     assert units.parse_length("4mm") == pytest.approx(4e-3)
     with pytest.raises(ValueError):
         units.parse_length("4 Meters")
@@ -48,6 +48,59 @@ def test_unknown_suffix_rejected():
         units.parse_capacitance("9.88nX")
     with pytest.raises(ValueError):
         units.parse_frequency("fast")
+
+
+# each parser with its suffix table
+PARSERS = [
+    (units.parse_length, units._LENGTH),
+    (units.parse_density, units._DENSITY),
+    (units.parse_pressure, units._PRESSURE),
+    (units.parse_frequency, units._FREQUENCY),
+    (units.parse_capacitance, units._CAPACITANCE),
+    (units.parse_resistance, units._RESISTANCE),
+    (units.parse_inductance, units._INDUCTANCE),
+    (units.parse_voltage, units._VOLTAGE),
+    (units.parse_velocity, units._VELOCITY),
+]
+ENTRIES = [(parse, suffix, multiplier) for parse, table in PARSERS for suffix, multiplier in table.items()]
+BLANKS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@settings(max_examples=40)
+@pytest.mark.parametrize(
+    "parse,suffix,multiplier", ENTRIES, ids=[f"{parse.__name__}-{suffix}" for parse, suffix, _ in ENTRIES]
+)
+@given(value=st.floats(allow_nan=False, allow_infinity=False), data=st.data())
+def test_unit_suffixes_parse_back_consistently(parse, suffix, multiplier, value, data):
+    # the canonical suffix in any case of each character but a leading m or M, blanks around it
+    lead = 1 if suffix[:1] in ("m", "M") else 0
+    cased = suffix[:lead] + "".join(data.draw(st.sampled_from([c.lower(), c.upper()])) for c in suffix[lead:])
+    text = data.draw(BLANKS) + repr(value) + data.draw(BLANKS) + cased + data.draw(BLANKS)
+    expected = value * multiplier
+    if math.isfinite(expected):
+        assert parse(text) == expected
+    else:
+        with pytest.raises(units.UnitError, match="is not finite"):
+            parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (units.parse_frequency, "30mHz"),
+        (units.parse_resistance, "5mOhm"),
+        (units.parse_pressure, "3mPa"),
+        (units.parse_voltage, "40MV"),
+        (units.parse_inductance, "28.1MH"),
+        (units.parse_capacitance, "1MF"),
+        (units.parse_length, "5M"),
+        (units.parse_length, "5Mm"),
+        (units.parse_velocity, "5M/S"),
+    ],
+)
+def test_milli_and_mega_do_not_collide(parse, text):
+    with pytest.raises(units.UnitError, match=r"^unknown \w+ unit "):
+        parse(text)
 
 
 @pytest.mark.parametrize(
