@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AnalysisError, EmptyGrid, require_positive
+from .errors import AnalysisError, EmptyGrid, InvalidProperty, require_positive
 from .materials import ActuatorSpec, GlassSpec
 
 # Reference plate footprint of the builtin library devices: 60 x 130 mm,
@@ -202,13 +202,13 @@ def sweep_amplification(
 
     Raises:
         EmptyGrid: the grid has no points.
-        InvalidProperty: a grid value that :class:`GlassSpec` rejects.
+        InvalidProperty: an unknown axis, or a grid value that :class:`GlassSpec` rejects.
         AnalysisError: a grid value that gives a non-finite n^2.
     """
     import numpy as np
 
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise InvalidProperty(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = np.fromiter(grid, dtype=float)
     if not values.size:
         raise EmptyGrid(f"sweep over {axis!r} got an empty grid")

@@ -118,6 +118,8 @@ class FitOptions:
 
     def __post_init__(self):
         require_positive(self, "fit ", "max_iterations")
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise InvalidProperty(f"fit max_iterations must be an integer, got {self.max_iterations!r}")
         require_positive(self, "fit ", "shunt_resistance", allow_zero=True)
 
 
@@ -327,9 +329,13 @@ def generate_spectrum(
     complex Gaussian noise per quadrature (0.01 means 1%).
 
     Raises:
-        InvalidProperty: fewer than :data:`MIN_POINTS` points, a negative
-            seed, or a spectrum that leaves float range.
+        InvalidProperty: fewer than :data:`MIN_POINTS` points, a seed below
+            0, either not an integer, or a spectrum that leaves float range.
     """
+    if not isinstance(n_points, (int, np.integer)):
+        raise InvalidProperty(f"n_points must be an integer, got {n_points!r}")
+    if not isinstance(seed, (int, np.integer, type(None))):
+        raise InvalidProperty(f"seed must be an integer or None, got {seed!r}")
     if n_points < MIN_POINTS:
         raise InvalidProperty(f"spectrum needs at least {MIN_POINTS} points, got {n_points}")
     if seed is not None and seed < 0:

@@ -85,13 +85,13 @@ class EmptyGrid(AnalysisError):
 
 def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False) -> None:
     """Raise InvalidProperty unless the named fields of a value record, or a mapping such as
-    ``locals()``, are finite reals > 0 (or 0 too, with ``allow_zero``).  The message names the
-    field after ``prefix``: ``glass density must be positive and finite, got inf``.
+    ``locals()``, are finite reals > 0 (or 0 too, with ``allow_zero``), bools not being reals here.  The
+    message names the field after ``prefix``: ``glass density must be positive and finite, got inf``.
     """
     values = record if isinstance(record, dict) else vars(record)
     for field in fields:
         value = values[field]
-        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
         if not (finite and (value >= 0 if allow_zero else value > 0)):
             rule = ">= 0" if allow_zero else "positive"
             raise InvalidProperty(f"{prefix}{field} must be {rule} and finite, got {value!r}")

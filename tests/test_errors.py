@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tpadlab.beam import BeamGeometry, wavenumbers
-from tpadlab.bvdfit import generate_spectrum, initial_guess
+from tpadlab.beam import BeamGeometry, sweep_amplification, wavenumbers
+from tpadlab.bvdfit import FitOptions, generate_spectrum, initial_guess
 from tpadlab.circuit import BvdParams, DriveConfig
 from tpadlab.dataio import TimeTraces, amplitude_from_ldv, noise_floor, real_power_from_traces, summarize_trial
 from tpadlab.errors import InvalidProperty
@@ -35,7 +35,7 @@ CASES = [
     for record, kwargs, prefix in RECORDS
     for field in kwargs
     if field != "name"
-    for bad in (math.inf, math.nan, "1.0")
+    for bad in (math.inf, math.nan, "1.0", True)
 ]
 
 
@@ -64,7 +64,8 @@ def test_zero_is_allowed_where_documented(record, field):
 FS = 300e3
 _TONE = np.sin(2.0 * math.pi * 30e3 * np.arange(3000) / FS)
 TRACES = TimeTraces(FS, 40.0 * _TONE, 10.0 * _TONE, 3e-6 * _TONE, "displacement")
-SPECTRUM = generate_spectrum(BvdParams(28.1e-3, 1e-9, 2150.0, 9.88e-9))
+PARAMS = BvdParams(28.1e-3, 1e-9, 2150.0, 9.88e-9)
+SPECTRUM = generate_spectrum(PARAMS)
 GLASS = GlassSpec("g", 4e-4, 2483.0, 71e9)
 ACTUATOR = ActuatorSpec(3e-4, 7900.0, 84e9, 9.88e-9)
 
@@ -83,9 +84,19 @@ SCALAR_ARGUMENTS = {
     "relative_friction_squeeze": (
         lambda v: relative_friction_squeeze(v, SqueezeFilmParams(2e-6, 1e5)), "amplitude", 3e-6, True
     ),
+    "generate_spectrum-points": (lambda v: generate_spectrum(PARAMS, n_points=v), "n_points", 201, False),
+    "generate_spectrum-seed": (lambda v: generate_spectrum(PARAMS, seed=v), "seed", 1, True),
+    "FitOptions": (lambda v: FitOptions(max_iterations=v), "fit max_iterations", 500, False),
+    "sweep_amplification": (lambda v: sweep_amplification(GLASS, ACTUATOR, v, [1e-3]), "axis", "thickness", False),
 }
-# positive finite values still outside an argument's range: the drive band is 15-60 kHz
-OUTSIDE_RANGE = {"drive_frequency": (1e308, 1e3, 7e4)}
+# more values outside an argument's range: the drive band is 15-60 kHz, and counts are integers
+OUTSIDE_RANGE = {
+    "drive_frequency": (1e308, 1e3, 7e4),
+    "n_points": (8.5,),
+    "seed": (1.5,),
+    "fit max_iterations": (2.5, True),
+    "axis": ("stiffness",),
+}
 SCALAR_CASES = [
     (name, bad)
     for name, (_, argument, _, zero_ok) in SCALAR_ARGUMENTS.items()
