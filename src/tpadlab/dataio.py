@@ -289,7 +289,8 @@ def real_power_from_traces(
 
     i(t) = v_shunt(t) / R0; P is the mean of v_piezo * i over an integer
     number of drive periods (trailing partial period dropped).  When
-    ``drive_frequency`` is omitted it is detected from v_piezo.
+    ``drive_frequency`` is omitted it is detected from v_piezo; a given
+    one outside :data:`EXPECTED_DRIVE_BAND_HZ` raises ``InvalidProperty``.
     """
     require_positive(locals(), "", "shunt_resistance")
     _, m = _integer_period_length(traces, drive_frequency)
@@ -328,6 +329,7 @@ def noise_floor(traces: TimeTraces, drive_frequency: float | None = None) -> flo
 
     Raises:
         NoLdvChannel: traces carry no LDV channel.
+        InvalidProperty: a drive frequency outside :data:`EXPECTED_DRIVE_BAND_HZ`.
     """
     frequency, x, divisor = _ldv_window(traces, drive_frequency)
     off_tone = _off_tone_bins(x.size, frequency, traces.sample_rate)
@@ -359,6 +361,7 @@ def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None)
 
     Raises:
         NoLdvChannel: traces carry no LDV channel.
+        InvalidProperty: a drive frequency outside :data:`EXPECTED_DRIVE_BAND_HZ`.
         AnalysisError: the channel is so near float range that its mean or
             its projection is not finite.
     """

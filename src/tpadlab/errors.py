@@ -85,8 +85,8 @@ class EmptyGrid(AnalysisError):
 
 def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False) -> None:
     """Raise InvalidProperty unless the named fields of a value record, or a mapping such as
-    ``locals()``, are finite reals > 0 (or 0 too, with ``allow_zero``), bools not being reals here.  The
-    message names the field after ``prefix``: ``glass density must be positive and finite, got inf``.
+    ``locals()``, are finite reals > 0 (or 0 too, with ``allow_zero``) and not bools.  The message
+    names the field after ``prefix``: ``glass density must be positive and finite, got inf``.
     """
     values = record if isinstance(record, dict) else vars(record)
     for field in fields:

@@ -298,6 +298,12 @@ def test_circuit_rejects_infinite_frequency(run_cli):
     assert run_cli(*CIRCUIT_ARGS, "--freq", "1e999") == (64, "")
 
 
+def test_a_mega_suffix_is_no_milli_suffix(run_cli):
+    # 40MV once parsed as 40 mV and exited 0
+    assert run_cli(*CIRCUIT_ARGS, "--voltage", "40MV") == (64, "")
+    assert run_cli(*CIRCUIT_ARGS, "--voltage", "40mv")[0] == 0
+
+
 @pytest.mark.parametrize("freq", ["-5", "0", "-0"])
 def test_circuit_rejects_a_non_positive_frequency(freq, capsys):
     # -5 used to print a negative x0_ohm magnitude with exit 0, and 0 a division by zero with exit 3
@@ -597,12 +603,6 @@ def test_unit_messages_reach_flag_users(capsys):
     assert exc.value.code == 64
     message = "argument --freq: unknown frequency unit 'xx' in '30xx' (expected one of: Hz, MHz, kHz)"
     assert capsys.readouterr().err.endswith(f"tpadlab friction: error: {message}\n")
-
-
-def test_a_mega_suffix_is_no_milli_suffix(run_cli):
-    # 40MV once parsed as 40 mV and exited 0
-    assert run_cli(*CIRCUIT_ARGS, "--voltage", "40MV") == (64, "")
-    assert run_cli(*CIRCUIT_ARGS, "--voltage", "40mv")[0] == 0
 
 
 def test_beam_bad_grid_shape(run_cli):
