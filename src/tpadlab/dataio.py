@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,8 +276,8 @@ def _integer_period_length(traces: TimeTraces, drive_frequency: float | None) ->
     sample count <= len(traces) covering a whole number of its periods."""
     if drive_frequency is None:
         drive_frequency = detect_drive_frequency(traces)
-    lo, hi = EXPECTED_DRIVE_BAND_HZ
-    if not lo <= drive_frequency <= hi:  # so a valid record covers at least MIN_PERIODS periods
+    lo, hi = EXPECTED_DRIVE_BAND_HZ  # inside it, a valid record covers at least MIN_PERIODS periods
+    if not (isinstance(drive_frequency, numbers.Real) and lo <= drive_frequency <= hi):
         raise InvalidProperty(f"drive_frequency must be in [{lo:.0f}, {hi:.0f}] Hz, got {drive_frequency!r}")
     periods = int(np.floor(len(traces) * drive_frequency / traces.sample_rate))
     return drive_frequency, min(len(traces), int(round(periods * traces.sample_rate / drive_frequency)))

@@ -91,7 +91,7 @@ SCALAR_ARGUMENTS = {
 }
 # more values outside an argument's range: the drive band is 15-60 kHz, and counts are integers
 OUTSIDE_RANGE = {
-    "drive_frequency": (1e308, 1e3, 7e4),
+    "drive_frequency": (1e308, 1e3, 7e4, "30e3"),
     "n_points": (8.5,),
     "seed": (1.5,),
     "fit max_iterations": (2.5, True),
