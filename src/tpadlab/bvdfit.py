@@ -15,7 +15,6 @@ of the parameters, which enforces positivity without constraints.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -67,19 +66,6 @@ class ImpedanceSpectrum:
     def __len__(self) -> int:
         return int(self.frequencies.size)
 
-    @property
-    def points(self) -> list[tuple[float, complex]]:
-        return [(float(f), complex(z)) for f, z in zip(self.frequencies, self.impedances)]
-
-    @classmethod
-    def from_points(cls, points) -> "ImpedanceSpectrum":
-        """Build a spectrum from (frequency, impedance) pairs in any order."""
-        ordered = sorted(points, key=lambda p: p[0])
-        return cls(
-            frequencies=np.array([p[0] for p in ordered], dtype=float),
-            impedances=np.array([p[1] for p in ordered], dtype=complex),
-        )
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -107,14 +93,11 @@ class FitOptions:
         fit_static_capacitance: unlock C0 as a fourth parameter.
         shunt_resistance: when set, a series resistance added to the
             model (for spectra derived end-to-end through the shunt).
-        initial: explicit starting point; default is
-            :func:`initial_guess` on the spectrum.
     """
 
     max_iterations: int = 500
     fit_static_capacitance: bool = False
     shunt_resistance: float = 0.0
-    initial: BvdParams | None = None
 
     def __post_init__(self):
         require_positive(self, "fit ", "max_iterations")
@@ -138,8 +121,7 @@ def _trial(params: BvdParams, spectrum: ImpedanceSpectrum, shunt: float) -> tupl
 def residual(params: BvdParams, spectrum: ImpedanceSpectrum, shunt_resistance: float = 0.0) -> float:
     """Objective value: sum of squared log-magnitude and phase residuals.
 
-    Zero iff the model matches every point exactly; invariant under
-    reordering of the spectrum points.
+    Zero iff the model matches every point exactly.
     """
     r = _trial(params, spectrum, shunt_resistance)[1]
     return float(r @ r)
@@ -245,19 +227,19 @@ def _normal_equations(rows: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np
 def fit_bvd(spectrum: ImpedanceSpectrum, c0: float, options: FitOptions | None = None) -> FitResult:
     """Recover (L, C, R) -- optionally C0 -- by damped Gauss-Newton.
 
-    Starts from ``options.initial`` or :func:`initial_guess`, iterates
+    Starts from :func:`initial_guess` on the spectrum, iterates
     Levenberg-Marquardt steps in log-parameter space, and stops when the
     relative parameter step or the relative cost improvement falls below
     :data:`STEP_TOLERANCE` or :data:`RESIDUAL_TOLERANCE`.
 
     Raises:
-        NoResonanceFound: propagated from the automatic initial guess.
+        NoResonanceFound: propagated from :func:`initial_guess`.
         FitNotConverged: iteration cap hit or damping diverged; the
             exception's ``result`` holds the best parameters seen.
     """
     opts = options or FitOptions()
     shunt = opts.shunt_resistance
-    start = opts.initial if opts.initial is not None else initial_guess(spectrum, c0)
+    start = initial_guess(spectrum, c0)
     fit_c0 = opts.fit_static_capacitance
 
     theta = np.log([start.inductance, start.capacitance, start.resistance])
@@ -378,5 +360,6 @@ def load_impedance_csv(path) -> ImpedanceSpectrum:
 
 def save_impedance_csv(spectrum: ImpedanceSpectrum, handle) -> None:
     """Write a spectrum to an open text stream in the CSV interchange format."""
-    rows = [(freq, abs(z), math.degrees(cmath.phase(z))) for freq, z in spectrum.points]
+    z = spectrum.impedances
+    rows = zip(spectrum.frequencies.tolist(), np.hypot(z.real, z.imag).tolist(), np.degrees(np.angle(z)).tolist())
     handle.write("\n".join(csv_table(",".join(SPECTRUM_CSV_HEADER), rows)) + "\n")
