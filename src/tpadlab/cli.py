@@ -271,13 +271,13 @@ def _cmd_reduce_traces(args, parser) -> list[str]:
     rows = []
     for path in args.inputs:
         traces = dataio.load_traces_csv(path, args.sample_rate, ldv_kind=args.ldv_kind)
-        with np.errstate(all="ignore"):  # samples near float range give inf or nan, a typed error below
-            if args.piezo_column == "source":
+        if args.piezo_column == "source":
+            with np.errstate(over="ignore"):  # samples near float range give inf, a typed error below
                 v_piezo = traces.v_piezo - traces.v_shunt
-                if not np.isfinite(v_piezo).all():
-                    raise AnalysisError("result outside the model's range (v_piezo - v_shunt is not finite)")
-                traces = dataclasses.replace(traces, v_piezo=v_piezo)
-            s = dataio.summarize_trial(traces, args.shunt)
+            if not np.isfinite(v_piezo).all():
+                raise AnalysisError("result outside the model's range (v_piezo - v_shunt is not finite)")
+            traces = dataclasses.replace(traces, v_piezo=v_piezo)
+        s = dataio.summarize_trial(traces, args.shunt)
         row = (path, s.drive_frequency, s.real_power, s.amplitude, s.rms_current)
         rows.append((*row, s.amplitude_low_confidence))
     return csv_table(header, rows)

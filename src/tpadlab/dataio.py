@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ from .errors import (
     InvalidProperty,
     MalformedTraceFile,
     NoLdvChannel,
+    is_finite_real,
     require_positive,
 )
 from .units import LDV_KINDS
@@ -73,7 +75,7 @@ class TimeTraces:
     ldv_kind: str | None = None
 
     def __post_init__(self):
-        if not 2.0 * EXPECTED_DRIVE_BAND_HZ[1] < self.sample_rate < np.inf:
+        if not (is_finite_real(self.sample_rate) and 2.0 * EXPECTED_DRIVE_BAND_HZ[1] < self.sample_rate):
             raise InvalidProperty(
                 f"sample_rate must be finite and exceed {2.0 * EXPECTED_DRIVE_BAND_HZ[1]:.0f} Hz "
                 f"(twice the highest expected drive frequency), got {self.sample_rate!r}"
@@ -150,7 +152,7 @@ class TrialSummary:
     real_power: float  # W
     amplitude: float | None  # m
     rms_current: float  # A
-    amplitude_low_confidence: bool | None = False
+    amplitude_low_confidence: bool | None
 
 
 def _scan_rows(handle, width: int) -> tuple[list[list[float]], str | None]:
@@ -243,6 +245,14 @@ def load_traces_csv(path, sample_rate: float, ldv_kind: str | None = None) -> Ti
     return TimeTraces(sample_rate, v_piezo, v_shunt, ldv[0] if ldv else None, ldv_kind if ldv else None)
 
 
+def _finite_result(value) -> float:
+    """``value`` as a float, or AnalysisError worded as ``units.csv_table`` words a non-finite cell."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise AnalysisError(f"result outside the model's range (got {value})")
+    return value
+
+
 def detect_drive_frequency(traces: TimeTraces) -> float:
     """Frequency of the dominant spectral line of v_piezo (Hz).
 
@@ -252,10 +262,14 @@ def detect_drive_frequency(traces: TimeTraces) -> float:
     Raises:
         DriveFrequencyNotFound: the dominant bin falls outside
             :data:`EXPECTED_DRIVE_BAND_HZ`.
+        AnalysisError: v_piezo is so near float range that the largest
+            bin is not finite.
     """
-    x = traces.v_piezo - np.mean(traces.v_piezo)
-    magnitudes = np.abs(np.fft.rfft(x))  # at least 9 bins: a valid record holds at least 17 samples
-    k = int(np.argmax(magnitudes[1:])) + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite spectrum is a typed error below
+        x = traces.v_piezo - np.mean(traces.v_piezo)
+        magnitudes = np.abs(np.fft.rfft(x))  # at least 9 bins: a valid record holds at least 17 samples
+    k = int(np.argmax(magnitudes[1:])) + 1  # a nan bin, if any, else an inf one
+    _finite_result(magnitudes[k])
     delta = 0.0
     if k < magnitudes.size - 1 and np.all(magnitudes[k - 1 : k + 2] > 0):
         a, b, c = np.log(magnitudes[k - 1 : k + 2])
@@ -292,11 +306,13 @@ def real_power_from_traces(
     number of drive periods (trailing partial period dropped).  When
     ``drive_frequency`` is omitted it is detected from v_piezo; a given
     one outside :data:`EXPECTED_DRIVE_BAND_HZ` raises ``InvalidProperty``.
+    A power outside float range raises ``AnalysisError``.
     """
     require_positive(locals(), "", "shunt_resistance")
     _, m = _integer_period_length(traces, drive_frequency)
-    current = traces.v_shunt[:m] / shunt_resistance
-    return float(np.mean(traces.v_piezo[:m] * current))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite power is a typed error below
+        current = traces.v_shunt[:m] / shunt_resistance
+        return _finite_result(np.mean(traces.v_piezo[:m] * current))
 
 
 def _ldv_window(traces: TimeTraces, drive_frequency: float | None) -> tuple[float, np.ndarray, float]:
@@ -331,13 +347,16 @@ def noise_floor(traces: TimeTraces, drive_frequency: float | None = None) -> flo
     Raises:
         NoLdvChannel: traces carry no LDV channel.
         InvalidProperty: a drive frequency outside :data:`EXPECTED_DRIVE_BAND_HZ`.
+        AnalysisError: the channel is so near float range that the floor
+            is not finite.
     """
-    frequency, x, divisor = _ldv_window(traces, drive_frequency)
-    off_tone = _off_tone_bins(x.size, frequency, traces.sample_rate)
-    if not np.any(off_tone):
-        return 0.0
-    bin_amplitudes = 2.0 * np.abs(np.fft.rfft(x)) / x.size
-    return float(np.median(bin_amplitudes[off_tone])) / divisor
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite floor is a typed error
+        frequency, x, divisor = _ldv_window(traces, drive_frequency)
+        off_tone = _off_tone_bins(x.size, frequency, traces.sample_rate)
+        if not np.any(off_tone):
+            return 0.0
+        bin_amplitudes = 2.0 * np.abs(np.fft.rfft(x)) / x.size
+    return _finite_result(np.median(bin_amplitudes[off_tone])) / divisor
 
 
 def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None) -> AmplitudeEstimate:
@@ -363,19 +382,20 @@ def amplitude_from_ldv(traces: TimeTraces, drive_frequency: float | None = None)
     Raises:
         NoLdvChannel: traces carry no LDV channel.
         InvalidProperty: a drive frequency outside :data:`EXPECTED_DRIVE_BAND_HZ`.
-        AnalysisError: the channel is so near float range that its mean or
-            its projection is not finite.
+        AnalysisError: the channel is so near float range that its mean,
+            its projection or its noise floor is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked below: inf or nan is a typed error
         frequency, x, divisor = _ldv_window(traces, drive_frequency)
         phase = np.exp(-2j * np.pi * frequency / traces.sample_rate * np.arange(x.size))
         amplitude = 2.0 * np.abs(np.sum(x * phase)) / x.size / divisor
-        energy = x @ x  # inf near float range, where the bound then decides nothing
+        # the bound is inf near float range, where it then decides nothing
+        off_tone = np.count_nonzero(_off_tone_bins(x.size, frequency, traces.sample_rate))
+        floor_bound = np.sqrt(8.0 * (x @ x) / (x.size * off_tone)) / divisor if off_tone else np.inf
+        above_bound = amplitude >= LOW_CONFIDENCE_FLOOR_RATIO * floor_bound * (1.0 + FLOOR_BOUND_MARGIN)
     if not np.isfinite(amplitude):
         raise AnalysisError("result outside the model's range (ldv amplitude is not finite)")
-    off_tone = np.count_nonzero(_off_tone_bins(x.size, frequency, traces.sample_rate))
-    floor_bound = np.sqrt(8.0 * energy / (x.size * off_tone)) / divisor if off_tone else np.inf
-    if amplitude >= LOW_CONFIDENCE_FLOOR_RATIO * floor_bound * (1.0 + FLOOR_BOUND_MARGIN):
+    if above_bound:
         low_confidence = False
     else:
         low_confidence = bool(amplitude < LOW_CONFIDENCE_FLOOR_RATIO * noise_floor(traces, frequency))
@@ -393,6 +413,8 @@ def summarize_trial(traces: TimeTraces, shunt_resistance: float) -> TrialSummary
 
     Raises:
         DriveFrequencyNotFound: non-null traces without an in-band tone.
+        AnalysisError: samples so near float range that the spectrum, the
+            power or the current is not finite.
     """
     require_positive(locals(), "", "shunt_resistance")
     has_ldv = traces.ldv is not None
@@ -401,10 +423,12 @@ def summarize_trial(traces: TimeTraces, shunt_resistance: float) -> TrialSummary
         return TrialSummary(0.0, 0.0, 0.0 if has_ldv else None, 0.0, True if has_ldv else None)
     frequency = detect_drive_frequency(traces)
     estimate = amplitude_from_ldv(traces, frequency) if has_ldv else None
-    rms_current = float(np.sqrt(np.mean(traces.v_shunt**2))) / shunt_resistance
+    real_power = real_power_from_traces(traces, shunt_resistance, frequency)
+    with np.errstate(over="ignore"):  # a non-finite current is a typed error
+        rms_current = _finite_result(np.sqrt(np.mean(traces.v_shunt**2)) / shunt_resistance)
     return TrialSummary(
         drive_frequency=frequency,
-        real_power=real_power_from_traces(traces, shunt_resistance, frequency),
+        real_power=real_power,
         amplitude=None if estimate is None else estimate.amplitude,
         rms_current=rms_current,
         amplitude_low_confidence=None if estimate is None else estimate.low_confidence,

@@ -83,6 +83,16 @@ class EmptyGrid(AnalysisError):
     """A parameter sweep was requested over an empty grid."""
 
 
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, within float range (an int too large for a float is not)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False) -> None:
     """Raise InvalidProperty unless the named fields of a value record, or a mapping such as
     ``locals()``, are finite reals > 0 (or 0 too, with ``allow_zero``) and not bools.  The message
@@ -91,7 +101,6 @@ def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False
     values = record if isinstance(record, dict) else vars(record)
     for field in fields:
         value = values[field]
-        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-        if not (finite and (value >= 0 if allow_zero else value > 0)):
+        if not (is_finite_real(value) and (value >= 0 if allow_zero else value > 0)):
             rule = ">= 0" if allow_zero else "positive"
             raise InvalidProperty(f"{prefix}{field} must be {rule} and finite, got {value!r}")

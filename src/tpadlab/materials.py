@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidProperty, MalformedMaterialFile, UnknownMaterial, require_positive
+from .errors import InvalidProperty, MalformedMaterialFile, UnknownMaterial, is_finite_real, require_positive
 
 # Admissible plate thickness for library entries (m).  Catches unit
 # mix-ups (a "0.4" entered as meters instead of millimeters).
@@ -118,7 +118,7 @@ def load_material_file(path) -> list[GlassSpec]:
             payload = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise MalformedMaterialFile(f"cannot read material file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-to-string digit limit
         raise MalformedMaterialFile(f"material file {path} is not valid JSON: {exc}") from exc
 
     if not isinstance(payload, list):
@@ -142,7 +142,7 @@ def load_material_file(path) -> list[GlassSpec]:
             value = record[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise MalformedMaterialFile(f"{path}: entry {index} key {key!r} must be a number")
-            values.append(float(value))
+            values.append(float(value) if is_finite_real(value) else value)  # GlassSpec rejects the rest
         if name in seen:
             raise MalformedMaterialFile(f"{path}: duplicate material name {name!r}")
         seen.add(name)

@@ -37,6 +37,12 @@ def test_spectrum_rejects_unordered_frequencies():
         bvdfit.ImpedanceSpectrum(freqs, np.ones(8, dtype=complex))
 
 
+def test_spectrum_rejects_mismatched_arrays():
+    freqs = np.linspace(20e3, 40e3, 9)
+    with pytest.raises(InvalidProperty, match="^spectrum needs matching 1-d frequency and impedance arrays$"):
+        bvdfit.ImpedanceSpectrum(freqs, np.ones(8, dtype=complex))
+
+
 def test_spectrum_rejects_zero_magnitude():
     freqs = np.linspace(20e3, 40e3, 8)
     z = np.ones(8, dtype=complex)
@@ -60,6 +66,16 @@ def test_initial_guess_rejects_pure_capacitor():
     z = 1.0 / (1j * 2.0 * np.pi * freqs * C0)
     with pytest.raises(NoResonanceFound):
         bvdfit.initial_guess(bvdfit.ImpedanceSpectrum(freqs, z), C0)
+
+
+def test_initial_guess_rejects_a_window_that_starts_past_the_dip():
+    # the resistive bump is interior, but the |Z| minimum left of it is the window's first point
+    truth = params_for(30e3, 500.0, 1e-10)
+    f_s = resonant_frequency(truth)
+    f_p = f_s * math.sqrt(1.0 + truth.capacitance / truth.static_capacitance)
+    spectrum = bvdfit.generate_spectrum(truth, 1.002 * f_s, 1.2 * f_p, 401)
+    with pytest.raises(NoResonanceFound, match="^spectrum has no interior magnitude minimum followed by a maximum"):
+        bvdfit.initial_guess(spectrum, C0)
 
 
 def test_initial_guess_weak_coupling_gives_small_capacitance():

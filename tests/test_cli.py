@@ -146,6 +146,13 @@ def test_materials_file_quotes_a_name_that_splits_a_row(run_cli, tmp_path):
     assert [row[0] for row in csv.reader(io.StringIO(out, newline=""))] == ["name", "Custom,1.0"]
 
 
+@pytest.mark.parametrize("argv", [["materials"], ["beam", "--glass", "SLG_0.4"]], ids=["materials", "beam"])
+def test_material_file_with_an_integer_beyond_float_range_is_invalid(capsys, tmp_path, argv):
+    path = _write_material_json(tmp_path / "extra.json", density=10**400)
+    assert cli.main([*argv, "--file", path]) == 2
+    assert capsys.readouterr().err == f"tpadlab: error: glass density must be positive and finite, got {10**400}\n"
+
+
 def test_materials_malformed_file(run_cli, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
@@ -408,6 +415,11 @@ FIT_DEMO_EDGES = {
     "noise-out-of-range": (("--demo-c", "1", "--noise", "1e307"), 2, "spectrum contains non-finite values"),
     "zero-max-iter": (("--max-iter", "0"), 2, "fit max_iterations must be positive and finite, got 0"),
     "negative-max-iter": (("--max-iter", "-1"), 2, "fit max_iterations must be positive and finite, got -1"),
+    "max-iter-beyond-float-range": (
+        ("--max-iter", str(10**400)),
+        2,
+        f"fit max_iterations must be positive and finite, got {10**400}",
+    ),
     "negative-shunt": (("--include-shunt", "-5"), 2, "fit shunt_resistance must be >= 0 and finite, got -5.0"),
     "start-out-of-range": (
         ("--c0", "1e207", "--noise", "7e93", "--points", "12", "--seed", "3"),

@@ -5,9 +5,12 @@ as errors.  Flag values are drawn log-uniformly from about 1e-320 to
 1e308, with either sign, and exact 0 and -0 mixed in.  Input files are
 trace and spectrum CSVs whose cells mix numbers with odd cells (``nan``,
 ``1e999``, quoted or empty cells, non-ASCII digits...) and raw bytes,
-and material JSON files with wrong keys, wrong types and ``Infinity``.
-Glass names, in material records and in ``beam --name``, are drawn as
-text rich in commas, quotes and line breaks.  Whatever the inputs, the
+and material JSON files with wrong keys, wrong types, ``Infinity`` and
+integers beyond float range.
+Glass names, in material records and in ``beam --name``, and the names of
+the one to three captures a ``reduce-traces`` run reads are drawn as text
+rich in commas, quotes and line breaks; each capture's path must read back
+from its ``file`` cell.  Whatever the inputs, the
 run must end in a documented exit code (0, 2, 3 or 64) and raise nothing
 else; on exit 0 every row, as ``csv`` reads it, must have one cell per
 header column, and every number cell must be finite.  The one documented
@@ -27,7 +30,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpadlab import beam, bvdfit, circuit, cli
+from tpadlab import beam, bvdfit, circuit, cli, dataio
 
 EXIT_CODES = {0, 2, 3, 64}
 
@@ -139,17 +142,39 @@ def _csv_bytes(draw, header, rows):
 
 
 @st.composite
-def trace_files(draw):
-    """A capture of a drive tone sampled at 300 kHz, of 30 to 120 rows (that rate needs 40)."""
+def trace_files(draw, odd=True):
+    """A capture of a drive tone sampled at 300 kHz, of 30 to 120 rows (that rate needs 40).
+
+    With ``odd`` false it is well-formed: a known header, 40 rows or more, a
+    tone inside the drive band, and no odd cell or raw bytes.
+    """
     headers = ["v_piezo,v_shunt", "v_piezo,v_shunt,ldv"] * 3 + ["v_piezo", "v_piezo,v_shunt,ldv,x"]
-    header = draw(st.sampled_from(headers))
+    header = draw(st.sampled_from(headers if odd else headers[:2]))
     width = len(header.split(","))
-    n = draw(st.integers(30, 120))
-    frequency = draw(st.floats(10e3, 70e3))
+    n = draw(st.integers(30 if odd else 40, 120))
+    frequency = draw(st.floats(10e3, 70e3) if odd else st.floats(*dataio.EXPECTED_DRIVE_BAND_HZ))
     scale = draw(st.one_of(st.just(1.0), VALUES))
     t = np.arange(n) / 300e3
     columns = [scale * np.sin(2 * math.pi * frequency * t + phase) for phase in (0.0, -1.0, 0.4, 2.0)[:width]]
-    return _csv_bytes(draw, header, np.array(columns).T.tolist())
+    rows = np.array(columns).T.tolist()
+    if not odd:
+        return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]).encode("utf-8")
+    return _csv_bytes(draw, header, rows)
+
+
+# capture file names rich in the characters that CSV quotes; no name holds "/" or NUL
+FILE_NAMES = st.text(
+    st.one_of(st.characters(exclude_categories=("Cs",), exclude_characters="/\x00"), st.sampled_from(',"\r\n')),
+    max_size=6,
+)
+
+
+@st.composite
+def captures(draw):
+    """One to three (file name, bytes) captures; in half the runs every one is well-formed."""
+    odd = draw(st.booleans())
+    names = draw(st.lists(FILE_NAMES, min_size=1, max_size=3, unique=True))
+    return [(name, draw(trace_files(odd))) for name in names]
 
 
 @st.composite
@@ -168,7 +193,10 @@ def spectrum_files(draw):
 
 # mostly a library glass or the name the drawn records use most
 NAMES = st.one_of(st.sampled_from(["SLG_0.4", "Custom_1.0", "Custom_1.0", ""]), NAME_TEXT)
-_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3), VALUES)
+# the wide integers reach past float range, which ends near 1.8e308
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400), st.floats(), st.text(max_size=3), VALUES
+)
 # well-formed values, the thickness inside the library's band
 _GOOD_FIELDS = {
     "name": NAMES,
@@ -224,10 +252,11 @@ def _run(argv):
 
 
 def _check(argv):
+    """Run ``argv`` and check its exit code and, on exit 0, its table; returns the table's rows, or None."""
     code, out = _run(argv)
     assert code in EXIT_CODES, argv
     if code != 0:
-        return
+        return None
     while out.startswith("#"):  # the comment lines before the header
         out = out.split("\n", 1)[1]
     header, *table = csv.reader(io.StringIO(out, newline=""))
@@ -245,6 +274,7 @@ def _check(argv):
                 assert cell == "inf", argv
                 continue
             assert math.isfinite(number), (argv, column, cell)
+    return table
 
 
 @settings(max_examples=150)
@@ -288,18 +318,26 @@ def test_fit_demo_flags(argv):
 
 @settings(max_examples=60)
 @given(
-    content=trace_files(),
-    flags=_argv(
-        [],
-        st.one_of(st.just(["--sample-rate=300kHz"]), _flags(["--sample-rate"])),
-        _flags([], ["--shunt"]),
-        st.sampled_from([[], ["--ldv-kind=velocity"], ["--piezo-column=source"]]),
+    files=captures(),
+    flags=st.one_of(
+        st.just(["--sample-rate=300kHz", "--ldv-kind=displacement"]),
+        _argv(
+            [],
+            st.one_of(st.just(["--sample-rate=300kHz"]), _flags(["--sample-rate"])),
+            _flags([], ["--shunt"]),
+            st.sampled_from([[], ["--ldv-kind=velocity"], ["--piezo-column=source"]]),
+        ),
     ),
 )
-def test_reduce_traces_files(scratch, content, flags):
-    path = scratch / "trace.csv"
-    path.write_bytes(content)
-    _check(["reduce-traces", str(path), *flags])
+def test_reduce_traces_files(scratch, files, flags):
+    paths = []
+    for name, content in files:
+        path = scratch / f"trace{name}.csv"
+        path.write_bytes(content)
+        paths.append(str(path))
+    table = _check(["reduce-traces", *paths, *flags])
+    if table is not None:
+        assert [cells[0] for cells in table] == paths, table
 
 
 @settings(max_examples=60)

@@ -429,6 +429,14 @@ def test_amplitude_flags_noise_as_low_confidence():
     assert dataio.noise_floor(traces) > 0.0
 
 
+def test_noise_floor_is_zero_without_a_bin_off_the_tone():
+    # 17 samples at 121 kHz crop to 13, three periods of 28 kHz: 7 bins, each DC, beside it or within 3 of the tone
+    n, fs, omega = 17, 121e3, 2.0 * math.pi * 28e3
+    tone = np.sin(omega * np.arange(n) / fs)
+    traces = TimeTraces(fs, tone, np.zeros(n), tone, "displacement")
+    assert dataio.noise_floor(traces, 28e3) == 0.0
+
+
 @settings(max_examples=200)
 @given(
     bins=st.floats(0.0, 1.0),
@@ -496,6 +504,34 @@ def test_amplitude_near_float_range_is_an_analysis_error():
         dataio.amplitude_from_ldv(traces)
 
 
+def _scaled_capture(v_scale, shunt_scale=None, ldv=None):
+    """A 10 ms capture of unit tones, v_piezo scaled by ``v_scale`` and v_shunt by ``shunt_scale`` (default the same)."""
+    traces, _ = tone_traces(duration=0.01, v_amp=1.0, i_amp=1.0 / R0)
+    v_shunt = (v_scale if shunt_scale is None else shunt_scale) * traces.v_shunt
+    return TimeTraces(FS, v_scale * traces.v_piezo, v_shunt, ldv, None if ldv is None else "displacement")
+
+
+# reductions of captures so near float range that a result is not finite, and the typed error each gives
+NEAR_FLOAT_RANGE = {
+    "power": (lambda: dataio.real_power_from_traces(_scaled_capture(1e200), R0), "nan"),
+    "power-given-frequency": (lambda: dataio.real_power_from_traces(_scaled_capture(1e200), R0, 30e3), "nan"),
+    "summary-power": (lambda: dataio.summarize_trial(_scaled_capture(1e200), R0), "nan"),
+    "summary-current": (lambda: dataio.summarize_trial(_scaled_capture(1e-200, 1e200), R0), "inf"),
+    "detection": (lambda: dataio.detect_drive_frequency(_scaled_capture(1e307)), "nan"),
+    "noise-floor": (
+        lambda: dataio.noise_floor(_scaled_capture(1.0, ldv=1e307 * np.random.default_rng(0).uniform(-1, 1, 3000))),
+        "nan",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reduce,got", NEAR_FLOAT_RANGE.values(), ids=NEAR_FLOAT_RANGE.keys())
+def test_reductions_near_float_range_are_one_typed_error(reduce, got):
+    with pytest.raises(AnalysisError, match=rf"^result outside the model's range \(got {got}\)$"):
+        reduce()
+
+
 def test_amplitude_requires_ldv_channel():
     traces, _ = tone_traces()
     with pytest.raises(NoLdvChannel):
@@ -548,6 +584,12 @@ def test_summarize_trial_without_ldv():
     assert summary.rms_current == pytest.approx(0.1 / math.sqrt(2.0), rel=1e-6)
     assert summary.amplitude is None
     assert summary.amplitude_low_confidence is None
+
+
+def test_trial_summary_takes_the_flag_explicitly():
+    # a default flag would break "None exactly when the amplitude is None"
+    with pytest.raises(TypeError):
+        TrialSummary(30e3, 1.0, None, 0.07)
 
 
 def test_summarize_trial_null_capture_without_ldv():

@@ -30,19 +30,27 @@ RECORDS = [
     (VibrationState, {"frequency": 30e3, "amplitude": 3e-6}, "vibration "),
     (BeamGeometry, {"width": 0.06}, "beam "),
 ]
+# an int that no float holds: math.isfinite raises OverflowError on it
+BEYOND_FLOAT = 10**400
+
+
+def _label(value):
+    return "10**400" if value == BEYOND_FLOAT else repr(value)
+
+
 CASES = [
     (record, kwargs, prefix, field, bad)
     for record, kwargs, prefix in RECORDS
     for field in kwargs
     if field != "name"
-    for bad in (math.inf, math.nan, "1.0", True)
+    for bad in (math.inf, math.nan, "1.0", True, BEYOND_FLOAT)
 ]
 
 
 @pytest.mark.parametrize(
     "record,kwargs,prefix,field,bad",
     CASES,
-    ids=[f"{case[0].__name__}.{case[3]}={case[4]!r}" for case in CASES],
+    ids=[f"{case[0].__name__}.{case[3]}={_label(case[4])}" for case in CASES],
 )
 def test_value_records_reject_non_finite_fields(record, kwargs, prefix, field, bad):
     record(**kwargs)
@@ -91,10 +99,15 @@ SCALAR_ARGUMENTS = {
 }
 # more values outside an argument's range: the drive band is 15-60 kHz, and counts are integers
 OUTSIDE_RANGE = {
-    "drive_frequency": (1e308, 1e3, 7e4, "30e3"),
+    "drive_frequency": (1e308, 1e3, 7e4, "30e3", BEYOND_FLOAT),
+    "shunt_resistance": (BEYOND_FLOAT,),
+    "sample_rate": (BEYOND_FLOAT, "300e3"),
+    "c0": (BEYOND_FLOAT,),
+    "angular_frequency": (BEYOND_FLOAT,),
+    "amplitude": (BEYOND_FLOAT,),
     "n_points": (8.5,),
     "seed": (1.5,),
-    "fit max_iterations": (2.5, True),
+    "fit max_iterations": (2.5, True, BEYOND_FLOAT),
     "axis": ("stiffness",),
 }
 SCALAR_CASES = [
@@ -104,7 +117,7 @@ SCALAR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,bad", SCALAR_CASES, ids=[f"{name}={bad!r}" for name, bad in SCALAR_CASES])
+@pytest.mark.parametrize("name,bad", SCALAR_CASES, ids=[f"{name}={_label(bad)}" for name, bad in SCALAR_CASES])
 def test_scalar_arguments_outside_their_range_are_invalid(name, bad):
     call, argument, good, _ = SCALAR_ARGUMENTS[name]
     call(good)

@@ -137,6 +137,19 @@ def test_load_rejects_infinite_density(tmp_path):
         materials.load_material_file(path)
 
 
+def test_load_rejects_an_integer_beyond_float_range(tmp_path):
+    path = _write(tmp_path, [{"name": "x", "thickness_m": 4e-4, "density_kg_m3": 10**400, "youngs_modulus_pa": 7e10}])
+    with pytest.raises(InvalidProperty, match="^glass density must be positive and finite, got 10{400}$"):
+        materials.load_material_file(path)
+
+
+def test_load_rejects_an_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('[{"name": "x", "thickness_m": 4e-4, "density_kg_m3": 1%s, "youngs_modulus_pa": 7e10}]' % ("0" * 5000))
+    with pytest.raises(MalformedMaterialFile, match="is not valid JSON: Exceeds the limit"):
+        materials.load_material_file(path)
+
+
 def test_load_rejects_meter_scale_thickness(tmp_path):
     # a "0.4" that was meant as millimeters
     path = _write(
