@@ -6,14 +6,14 @@ as errors.  Flag values are drawn log-uniformly from about 1e-320 to
 trace and spectrum CSVs whose cells mix numbers with odd cells (``nan``,
 ``1e999``, quoted or empty cells, non-ASCII digits...) and raw bytes,
 and material JSON files with wrong keys, wrong types, ``Infinity`` and
-integers beyond float range.
-Glass names, in material records and in ``beam --name``, and the names of
-the one to three captures a ``reduce-traces`` run reads are drawn as text
-rich in commas, quotes and line breaks; each capture's path must read back
-from its ``file`` cell.  Whatever the inputs, the
-run must end in a documented exit code (0, 2, 3 or 64) and raise nothing
-else; on exit 0 every row, as ``csv`` reads it, must have one cell per
-header column, and every number cell must be finite.  The one documented
+integers beyond float range.  Glass names, in material records and in
+``beam --name``, and the names of the one to three captures a
+``reduce-traces`` run reads are drawn as text rich in commas, quotes and
+line breaks; each capture's path must read back from its ``file`` cell.
+Whatever the inputs, the run must end in a documented exit code (0, 2,
+3 or 64) and raise nothing else; on exit 0 every row, as ``csv`` reads
+it, must have one cell per header column, and every number cell must be
+finite.  The one documented
 exception is the ``psi`` cell of ``friction --model velocity`` at zero
 amplitude, which prints ``inf``.  A drawn glass value exits alike at a
 single ``beam`` point and as a one-value sweep.
