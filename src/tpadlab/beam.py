@@ -26,9 +26,8 @@ on each function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import AnalysisError, EmptyGrid, InvalidProperty, require_positive
+from .errors import AnalysisError, EmptyGrid, InvalidProperty, record, require_positive
 from .materials import ActuatorSpec, GlassSpec
 
 # Reference plate footprint of the builtin library devices: 60 x 130 mm,
@@ -42,7 +41,7 @@ REFERENCE_ANGULAR_FREQUENCY = 2.0 * math.pi * 30e3
 SWEEP_AXES = ("thickness", "density", "youngs_modulus")
 
 
-@dataclass(frozen=True)
+@record
 class BeamGeometry:
     """Beam cross-section geometry.
 
@@ -56,7 +55,7 @@ class BeamGeometry:
         require_positive(self, "beam ", "width")
 
 
-@dataclass(frozen=True)
+@record
 class AmplificationResult:
     """Amplification number with its per-width diagnostics.
 

@@ -16,14 +16,13 @@ of the parameters, which enforces positivity without constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import BvdParams, impedance, resonant_frequency
 from .dataio import _read_csv_table
-from .errors import FitNotConverged, InvalidProperty, MalformedSpectrumFile, NoResonanceFound, require_positive
-from .units import csv_table
+from .errors import FitNotConverged, InvalidProperty, MalformedSpectrumFile, NoResonanceFound, record, require_positive
+from .units import MAX_POINTS, csv_table
 
 MIN_POINTS = 8
 
@@ -33,7 +32,7 @@ STEP_TOLERANCE = 1e-10
 RESIDUAL_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ImpedanceSpectrum:
     """Frequency-indexed complex impedance measurements.
 
@@ -60,14 +59,13 @@ class ImpedanceSpectrum:
             raise InvalidProperty("spectrum frequencies and impedance magnitudes must be positive")
         f.setflags(write=False)
         z.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "impedances", z)
+        vars(self).update(frequencies=f, impedances=z)
 
     def __len__(self) -> int:
         return int(self.frequencies.size)
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     """Outcome of one least-squares refinement.
 
@@ -84,7 +82,7 @@ class FitResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@record
 class FitOptions:
     """Knobs for :func:`fit_bvd`.
 
@@ -311,8 +309,9 @@ def generate_spectrum(
     complex Gaussian noise per quadrature (0.01 means 1%).
 
     Raises:
-        InvalidProperty: fewer than :data:`MIN_POINTS` points, a seed below
-            0, either not an integer, or a spectrum that leaves float range.
+        InvalidProperty: fewer than :data:`MIN_POINTS` or more than
+            :data:`~tpadlab.units.MAX_POINTS` points, a seed below 0, either
+            not an integer, or a spectrum that leaves float range.
     """
     if not isinstance(n_points, (int, np.integer)):
         raise InvalidProperty(f"n_points must be an integer, got {n_points!r}")
@@ -320,6 +319,8 @@ def generate_spectrum(
         raise InvalidProperty(f"seed must be an integer or None, got {seed!r}")
     if n_points < MIN_POINTS:
         raise InvalidProperty(f"spectrum needs at least {MIN_POINTS} points, got {n_points}")
+    if n_points > MAX_POINTS:
+        raise InvalidProperty(f"spectrum may have at most {MAX_POINTS} points, got {n_points}")
     if seed is not None and seed < 0:
         raise InvalidProperty(f"seed must be non-negative, got {seed}")
     f_r = resonant_frequency(params)

@@ -19,12 +19,11 @@ the scalar routes run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import require_positive
+from .errors import record, require_positive
 
 
-@dataclass(frozen=True)
+@record
 class BvdParams:
     """Lumped equivalent-circuit parameters.
 
@@ -44,7 +43,7 @@ class BvdParams:
         require_positive(self, "", "inductance", "capacitance", "resistance", "static_capacitance")
 
 
-@dataclass(frozen=True)
+@record
 class DriveConfig:
     """Drive-side configuration.
 
@@ -61,7 +60,7 @@ class DriveConfig:
         require_positive(self, "", "shunt_resistance", allow_zero=True)
 
 
-@dataclass(frozen=True)
+@record
 class CircuitEvaluation:
     """Resonance operating point of the driven circuit.
 

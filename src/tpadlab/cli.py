@@ -26,14 +26,13 @@ inside a closed form).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
 import sys
 
 from . import beam, circuit, friction, materials, units
-from .errors import AnalysisError, TpadlabError, require_positive
+from .errors import AnalysisError, InvalidProperty, TpadlabError, UnwritableOutput, require_positive
 from .units import csv_table
 
 EXIT_OK = 0
@@ -48,6 +47,20 @@ MODEL_CONDITIONAL_NOTE = (
 
 # repro fig4: contour samples every 1 kHz
 _FIG4_FREQS_HZ = [1e3 * k for k in range(16, 161)]
+
+
+class _Writing:
+    """``with _Writing(path):`` around code that writes at ``path`` raises its OSError as UnwritableOutput."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, OSError):
+            raise UnwritableOutput(f"cannot write {self.path}: {exc.strerror or exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,12 +101,7 @@ def _cmd_friction(args, parser) -> list[str]:
     if args.model == "velocity":
         if args.freq is None or args.amp is None:
             parser.error("--model velocity needs --freq and --amp")
-        params = friction.FrictionParams(
-            explore_velocity=args.explore_velocity,
-            mu0=args.mu0,
-            poisson=args.poisson,
-            psi_star=args.psi_star,
-        )
+        params = friction.FrictionParams(args.explore_velocity, args.mu0, args.poisson, args.psi_star)
         vib = friction.VibrationState(frequency=args.freq, amplitude=args.amp)
         mu = friction.relative_friction_velocity(vib, params)
         psi = "inf" if args.amp == 0 else friction.psi(vib, params)
@@ -113,12 +121,7 @@ def _cmd_friction(args, parser) -> list[str]:
 
 
 def _cmd_circuit(args, parser) -> list[str]:
-    params = circuit.BvdParams(
-        inductance=args.inductance,
-        capacitance=args.capacitance,
-        resistance=args.resistance,
-        static_capacitance=args.c0,
-    )
+    params = circuit.BvdParams(args.inductance, args.capacitance, args.resistance, args.c0)
     if args.freq is not None:
         require_positive(args, "--", "freq")
         z = circuit.impedance(params, args.freq)
@@ -158,7 +161,7 @@ def _cmd_fit(args, parser) -> list[str]:
             truth, n_points=args.points, noise=args.noise, seed=args.seed
         )
         if args.demo_out:
-            with open(args.demo_out, "w", encoding="utf-8", newline="") as handle:
+            with _Writing(args.demo_out), open(args.demo_out, "w", encoding="utf-8", newline="") as handle:
                 bvdfit.save_impedance_csv(spectrum, handle)
     else:
         if args.input is None:
@@ -198,7 +201,7 @@ def _resolve_glass(args, parser) -> materials.GlassSpec:
 def _resolve_actuator(args) -> materials.ActuatorSpec:
     fields = ("thickness", "density", "youngs_modulus")
     given = {f: getattr(args, f"actuator_{f}") for f in fields if getattr(args, f"actuator_{f}") is not None}
-    return dataclasses.replace(materials.default_actuator(), **given)
+    return materials.default_actuator().replace(**given)
 
 
 def _parse_grid(args, parser, axis: str):
@@ -223,6 +226,8 @@ def _parse_grid(args, parser, axis: str):
         count = 0
     if count < 1:
         parser.error(f"--grid COUNT must be an integer >= 1, got {parts[2]!r}")
+    if count > units.MAX_POINTS:
+        raise InvalidProperty(f"--grid COUNT must be at most {units.MAX_POINTS}, got {parts[2]!r}")
     import numpy as np
 
     return np.linspace(start, stop, count)
@@ -276,7 +281,7 @@ def _cmd_reduce_traces(args, parser) -> list[str]:
                 v_piezo = traces.v_piezo - traces.v_shunt
             if not np.isfinite(v_piezo).all():
                 raise AnalysisError("result outside the model's range (v_piezo - v_shunt is not finite)")
-            traces = dataclasses.replace(traces, v_piezo=v_piezo)
+            traces = traces.replace(v_piezo=v_piezo)
         s = dataio.summarize_trial(traces, args.shunt)
         row = (path, s.drive_frequency, s.real_power, s.amplitude, s.rms_current)
         rows.append((*row, s.amplitude_low_confidence))
@@ -312,11 +317,11 @@ def _cmd_repro(args, parser) -> list[str] | None:
     # comment-separated blocks
     blocks = _fig10_blocks()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for axis, lines in blocks:
-            path = os.path.join(args.out, f"fig10_{axis}.csv")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
+        with _Writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
+            for axis, lines in blocks:
+                with open(os.path.join(args.out, f"fig10_{axis}.csv"), "w", encoding="utf-8") as handle:
+                    handle.write("\n".join(lines) + "\n")
         return None
     return [line for _, lines in blocks for line in lines]
 
@@ -353,30 +358,14 @@ def build_parser() -> _Parser:
     )
     sub.add_argument("--freq", type=units.parse_frequency, help="vibration frequency (Hz; kHz suffix ok)")
     sub.add_argument("--amp", type=units.parse_length, help="vibration amplitude (m; um/mm suffix ok)")
-    sub.add_argument(
-        "--explore-velocity",
-        type=units.parse_velocity,
-        default=friction.DEFAULT_FRICTION_PARAMS.explore_velocity,
-        help="finger exploration velocity U (m/s)",
-    )
-    sub.add_argument(
-        "--mu0",
-        type=float,
-        default=friction.DEFAULT_FRICTION_PARAMS.mu0,
-        help="friction coefficient with vibration off (dimensionless)",
-    )
-    sub.add_argument(
-        "--poisson",
-        type=float,
-        default=friction.DEFAULT_FRICTION_PARAMS.poisson,
-        help="fingertip Poisson ratio (dimensionless)",
-    )
-    sub.add_argument(
-        "--psi-star",
-        type=float,
-        default=friction.DEFAULT_FRICTION_PARAMS.psi_star,
-        help="characteristic Psi value (dimensionless)",
-    )
+    for field, parse, meaning in (  # the FrictionParams fields, each defaulting to the library's value
+        ("explore_velocity", units.parse_velocity, "finger exploration velocity U (m/s)"),
+        ("mu0", float, "friction coefficient with vibration off (dimensionless)"),
+        ("poisson", float, "fingertip Poisson ratio (dimensionless)"),
+        ("psi_star", float, "characteristic Psi value (dimensionless)"),
+    ):
+        default = getattr(friction.DEFAULT_FRICTION_PARAMS, field)
+        sub.add_argument("--" + field.replace("_", "-"), type=parse, default=default, help=meaning)
     sub.add_argument("--u0", type=units.parse_length, help="squeeze model: gap at rest (m)")
     sub.add_argument("--ps", type=units.parse_pressure, help="squeeze model: pressing pressure (Pa)")
     sub.add_argument(
@@ -387,18 +376,13 @@ def build_parser() -> _Parser:
     )
 
     sub = add("circuit", _cmd_circuit, "equivalent-circuit resonance predictions")
-    sub.add_argument(
-        "--inductance", type=units.parse_inductance, required=True, help="motional inductance L (H)"
-    )
-    sub.add_argument(
-        "--capacitance", type=units.parse_capacitance, required=True, help="motional capacitance C (F)"
-    )
-    sub.add_argument(
-        "--resistance", type=units.parse_resistance, required=True, help="motional resistance R (Ohm)"
-    )
-    sub.add_argument(
-        "--c0", type=units.parse_capacitance, required=True, help="static capacitance C0 (F; nF suffix ok)"
-    )
+    for flag, parse, meaning in (  # the BvdParams fields
+        ("--inductance", units.parse_inductance, "motional inductance L (H)"),
+        ("--capacitance", units.parse_capacitance, "motional capacitance C (F)"),
+        ("--resistance", units.parse_resistance, "motional resistance R (Ohm)"),
+        ("--c0", units.parse_capacitance, "static capacitance C0 (F; nF suffix ok)"),
+    ):
+        sub.add_argument(flag, type=parse, required=True, help=meaning)
     sub.add_argument("--voltage", type=units.parse_voltage, help="source voltage U_i (V RMS)")
     sub.add_argument(
         "--peak", action="store_true", help="treat --voltage as a peak value and convert to RMS"
@@ -514,20 +498,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = args.handler(args, args.subparser)
+        if lines is not None and args.out:  # None: the handler wrote its own files (repro fig10 --out)
+            with _Writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
     except (TpadlabError, OverflowError, ZeroDivisionError) as exc:
         if not isinstance(exc, TpadlabError):  # a closed form left float range on finite input
             kind = "overflow" if isinstance(exc, OverflowError) else "division by zero"
             exc = AnalysisError(f"result outside the model's range ({kind})")
         print(f"tpadlab: error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS if isinstance(exc, AnalysisError) else EXIT_PARSE
-    if lines is None:  # handler wrote its own files (repro fig10 --out)
-        return EXIT_OK
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    if lines is not None and not args.out:
+        sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

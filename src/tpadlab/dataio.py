@@ -23,7 +23,6 @@ import io
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     MalformedTraceFile,
     NoLdvChannel,
     is_finite_real,
+    record,
     require_positive,
 )
 from .units import LDV_KINDS
@@ -54,7 +54,7 @@ LOW_CONFIDENCE_FLOOR_RATIO = 10.0
 FLOOR_BOUND_MARGIN = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TimeTraces:
     """One synchronously sampled trial capture.
 
@@ -108,15 +108,13 @@ class TimeTraces:
             raise InvalidProperty("ldv_kind given without an ldv channel")
         for s in series:
             s.setflags(write=False)
-        object.__setattr__(self, "v_piezo", v_piezo)
-        object.__setattr__(self, "v_shunt", v_shunt)
-        object.__setattr__(self, "ldv", ldv)
+        vars(self).update(v_piezo=v_piezo, v_shunt=v_shunt, ldv=ldv)
 
     def __len__(self) -> int:
         return int(self.v_piezo.size)
 
 
-@dataclass(frozen=True)
+@record
 class AmplitudeEstimate:
     """Single-tone displacement amplitude extracted from the LDV channel.
 
@@ -133,7 +131,7 @@ class AmplitudeEstimate:
     low_confidence: bool
 
 
-@dataclass(frozen=True)
+@record
 class TrialSummary:
     """Reduced quantities of one trial.
 

@@ -7,6 +7,9 @@ maps them to distinct exit codes):
   value that violates a physical invariant).  CLI exit code 2.
 * :class:`AnalysisError` -- the input parsed fine but the requested
   computation cannot produce a meaningful answer.  CLI exit code 3.
+
+The value records of every module are built by :func:`record`, a frozen
+``dataclass`` without the import cost of :mod:`dataclasses`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ class MalformedTraceFile(ParseError):
 
 class InvalidProperty(ParseError, ValueError):
     """A physical property value is outside its admissible range (also a ``ValueError``)."""
+
+
+class UnwritableOutput(ParseError):
+    """An output file or directory could not be written."""
 
 
 class UnknownMaterial(ParseError):
@@ -104,3 +111,42 @@ def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False
         if not (is_finite_real(value) and (value >= 0 if allow_zero else value > 0)):
             rule = ">= 0" if allow_zero else "positive"
             raise InvalidProperty(f"{prefix}{field} must be {rule} and finite, got {value!r}")
+
+
+def record(cls=None, *, eq: bool = True):
+    """Make ``cls`` a frozen value record, as ``dataclass(frozen=True, eq=eq)`` would.
+
+    The fields are the class annotations, in order, and a class attribute is its field's default.
+    ``__post_init__``, if the class has one, runs on each construction, also by ``replace(**changes)``,
+    which returns a copy; it may store converted fields through ``vars(self)``.  With ``eq``,
+    records compare and hash by type and field values, and without it by identity.
+    """
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    names = tuple(cls.__annotations__)
+    fields = frozenset(names)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or values.keys() != fields or not kwargs.keys().isdisjoint(names[: len(args)]):
+            raise TypeError(f"{cls.__name__}() takes {names}, got {len(args)} positional and {sorted(kwargs)}")
+        self.__dict__.update(values)
+        post_init(self)
+
+    def frozen(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    def field_values(self):
+        return tuple(getattr(self, name) for name in names)
+
+    cls.__init__, cls.__setattr__, cls.__delattr__ = __init__, frozen, frozen
+    cls.__repr__ = lambda self: f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+    cls.replace = lambda self, **changes: type(self)(**dict(zip(names, field_values(self)), **changes))
+    if eq:
+        cls.__eq__ = lambda self, other: (
+            field_values(self) == field_values(other) if type(other) is type(self) else NotImplemented
+        )
+        cls.__hash__ = lambda self: hash(field_values(self))
+    return cls

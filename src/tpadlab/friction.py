@@ -21,9 +21,8 @@ defined and returned in micrometers (its customary units).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import InvalidProperty, OutOfContourRange, require_positive
+from .errors import InvalidProperty, OutOfContourRange, record, require_positive
 
 ATMOSPHERIC_PRESSURE_PA = 101325.0
 
@@ -31,7 +30,7 @@ ATMOSPHERIC_PRESSURE_PA = 101325.0
 CONTOUR_FREQUENCY_RANGE_HZ = (16e3, 160e3)
 
 
-@dataclass(frozen=True)
+@record
 class VibrationState:
     """Plate vibration operating point.
 
@@ -48,7 +47,7 @@ class VibrationState:
         require_positive(self, "vibration ", "amplitude", allow_zero=True)
 
 
-@dataclass(frozen=True)
+@record
 class FrictionParams:
     """Constants of the velocity friction model.
 
@@ -73,7 +72,7 @@ class FrictionParams:
             raise InvalidProperty(f"poisson must be in (0, 0.5), got {self.poisson!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SqueezeFilmParams:
     """Constants of the squeeze-film amplitude model.
 

@@ -13,10 +13,7 @@ pattern, e.g. ``"SLG_0.4"``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
-from .errors import InvalidProperty, MalformedMaterialFile, UnknownMaterial, is_finite_real, require_positive
+from .errors import InvalidProperty, MalformedMaterialFile, UnknownMaterial, is_finite_real, record, require_positive
 
 # Admissible plate thickness for library entries (m).  Catches unit
 # mix-ups (a "0.4" entered as meters instead of millimeters).
@@ -25,7 +22,7 @@ LIBRARY_THICKNESS_BAND_M = (1e-4, 5e-3)
 _MATERIAL_FIELDS = ("name", "thickness_m", "density_kg_m3", "youngs_modulus_pa")
 
 
-@dataclass(frozen=True)
+@record
 class GlassSpec:
     """Mechanical description of one glass plate.
 
@@ -47,7 +44,7 @@ class GlassSpec:
         require_positive(self, "glass ", "thickness", "density", "youngs_modulus")
 
 
-@dataclass(frozen=True)
+@record
 class ActuatorSpec:
     """Mechanical and electrical description of the bonded piezo actuator.
 
@@ -113,6 +110,8 @@ def load_material_file(path) -> list[GlassSpec]:
             value types, or duplicate names.
         InvalidProperty: structurally fine but a value is out of range.
     """
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)

@@ -38,6 +38,9 @@ _VELOCITY = {"": 1.0, "m/s": 1.0, "mm/s": 1e-3, "cm/s": 1e-2}
 # what a vibrometer (LDV) channel carries: a displacement in m or a velocity in m/s
 LDV_KINDS = ("displacement", "velocity")
 
+# the most points a sweep grid or a synthetic spectrum may have; a larger count is refused before any allocation
+MAX_POINTS = 1_000_000
+
 
 class UnitError(argparse.ArgumentTypeError, ValueError):
     """A quantity that does not parse; argparse prints its message after the flag's name."""

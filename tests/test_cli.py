@@ -10,12 +10,14 @@ import pytest
 
 from tpadlab import beam, cli, dataio, materials
 from tpadlab.errors import AnalysisError
-from tpadlab.units import csv_table
+from tpadlab.units import MAX_POINTS, csv_table
 
 FS = 300e3
 GOLDEN = Path(__file__).parent / "golden"
 
 NOTE_PREFIX = "# model-conditional:"
+SWEEP = ("beam", "--glass", "SLG_0.4", "--sweep", "thickness", "--grid")
+FIT_POINTS = ("fit", "--demo", "--points")
 
 
 def rows(out):
@@ -890,6 +892,44 @@ def test_out_flag_matches_stdout(run_cli, tmp_path):
     assert code == 0
     assert piped == ""
     assert out_file.read_text() == stdout_text
+
+
+# an output path that cannot be written: (argv, the path the message names, the reason), from the directory
+# tmp_path, in which "file" is an existing file
+UNWRITABLE_OUTPUTS = {
+    "out-in-missing-directory": (("materials", "--list", "--out", "missing/x.csv"), "missing/x.csv", "No such file"),
+    "demo-out-is-a-directory": (("fit", "--demo", "--demo-out", "."), ".", "Is a directory"),
+    "fig10-out-is-a-file": (("repro", "fig10", "--out", "file"), "file", "File exists"),
+    "fig10-out-under-a-file": (("repro", "fig10", "--out", "file/sub"), "file/sub", "Not a directory"),
+}
+
+
+@pytest.mark.parametrize("argv,path,reason", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS.keys())
+def test_unwritable_output_path_is_exit_2(capsys, monkeypatch, tmp_path, argv, path, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"tpadlab: error: cannot write {path}: {reason}") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+# a point count above units.MAX_POINTS, refused before anything is allocated
+POINT_COUNTS = {
+    "fit-points-bound-plus-one": (FIT_POINTS, str(MAX_POINTS + 1), f"spectrum may have at most {MAX_POINTS} points"),
+    "fit-points-401-digits": (FIT_POINTS, str(10**400), f"spectrum may have at most {MAX_POINTS} points"),
+    "grid-count-bound-plus-one": (SWEEP, f"1e-4:2e-4:{MAX_POINTS + 1}", f"--grid COUNT must be at most {MAX_POINTS}"),
+    "grid-count-401-digits": (SWEEP, f"1e-4:2e-4:{10**400}", f"--grid COUNT must be at most {MAX_POINTS}"),
+}
+
+
+@pytest.mark.parametrize("argv,count,message", POINT_COUNTS.values(), ids=POINT_COUNTS.keys())
+def test_point_count_above_the_bound_is_exit_2(capsys, argv, count, message):
+    assert cli.main([*argv, count]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"tpadlab: error: {message}, got ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand(run_cli):

@@ -1,15 +1,19 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tpadlab.beam import BeamGeometry, sweep_amplification, wavenumbers
-from tpadlab.bvdfit import FitOptions, generate_spectrum, initial_guess
+from tpadlab.beam import BeamGeometry, amplification_number, sweep_amplification, wavenumbers
+from tpadlab.bvdfit import FitOptions, ImpedanceSpectrum, generate_spectrum, initial_guess
 from tpadlab.circuit import BvdParams, DriveConfig
 from tpadlab.dataio import TimeTraces, amplitude_from_ldv, noise_floor, real_power_from_traces, summarize_trial
-from tpadlab.errors import InvalidProperty
+from tpadlab.errors import InvalidProperty, record
 from tpadlab.friction import FrictionParams, SqueezeFilmParams, VibrationState, relative_friction_squeeze
-from tpadlab.materials import ActuatorSpec, GlassSpec
+from tpadlab.materials import ActuatorSpec, GlassSpec, default_actuator
 
 # each value record with valid arguments, and the message prefix of its fields
 RECORDS = [
@@ -123,3 +127,79 @@ def test_scalar_arguments_outside_their_range_are_invalid(name, bad):
     call(good)
     with pytest.raises(InvalidProperty, match=f"^{argument} must be "):
         call(bad)
+
+
+# --- errors.record keeps what dataclass(frozen=True) gave each record ----------
+
+
+def _pair_class(decorate):
+    """A two-field record class named Pair, the second field defaulted, made by ``decorate``."""
+    namespace = {"__annotations__": {"left": "object", "right": "object"}, "right": 0.5, "__qualname__": "Pair"}
+    return decorate(type("Pair", (), namespace))
+
+
+PAIR = _pair_class(record)
+TWIN = _pair_class(dataclasses.dataclass(frozen=True))
+HASHABLE = st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=5), st.none(), st.booleans())
+
+
+@given(a=st.tuples(HASHABLE, HASHABLE), b=st.tuples(HASHABLE, HASHABLE))
+def test_record_repr_eq_and_hash_match_a_frozen_dataclass(a, b):
+    assert repr(PAIR(*a)) == repr(TWIN(*a))
+    assert (PAIR(*a) == PAIR(*b)) == (TWIN(*a) == TWIN(*b))
+    assert (PAIR(*a) != PAIR(*b)) == (TWIN(*a) != TWIN(*b))
+    assert hash(PAIR(*a)) == hash(TWIN(*a))
+    assert PAIR(a[0]) == PAIR(left=a[0], right=0.5)
+    assert PAIR(*a) != TWIN(*a)  # a record equals only records of its own class
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [((1, 2, 3), {}), ((1,), {"middle": 2}), ((1,), {"left": 2}), ((), {"right": 2}), ((), {})],
+    ids=["too-many-positional", "unknown-keyword", "given-both-ways", "missing-field", "no-arguments"],
+)
+def test_record_rejects_bad_calls_as_a_dataclass_does(args, kwargs):
+    with pytest.raises(TypeError):
+        TWIN(*args, **kwargs)
+    with pytest.raises(TypeError, match=r"^Pair\(\) takes \('left', 'right'\)"):
+        PAIR(*args, **kwargs)
+
+
+@pytest.mark.parametrize("record_class,kwargs,_", RECORDS, ids=[r.__name__ for r, _, _ in RECORDS])
+def test_records_are_frozen(record_class, kwargs, _):
+    value = record_class(**kwargs)
+    field = next(iter(kwargs))
+    with pytest.raises(AttributeError, match=f"frozen: cannot set or delete '{field}'"):
+        setattr(value, field, kwargs[field])
+    with pytest.raises(AttributeError, match=f"frozen: cannot set or delete '{field}'"):
+        delattr(value, field)
+    assert value == record_class(**kwargs)
+
+
+def test_replace_checks_the_copy_as_a_new_record():
+    actuator = default_actuator()
+    rest = (actuator.density, actuator.youngs_modulus, actuator.static_capacitance)
+    assert actuator.replace(thickness=4e-4) == ActuatorSpec(4e-4, *rest)
+    assert actuator.replace() == actuator
+    with pytest.raises(InvalidProperty, match="^actuator thickness must be positive and finite, got -1.0$"):
+        actuator.replace(thickness=-1.0)
+    with pytest.raises(TypeError):
+        actuator.replace(width=1.0)
+
+
+def test_array_records_compare_by_identity():
+    twin_traces = TimeTraces(FS, TRACES.v_piezo, TRACES.v_shunt, TRACES.ldv, TRACES.ldv_kind)
+    assert TRACES == TRACES and TRACES != twin_traces
+    twin_spectrum = ImpedanceSpectrum(SPECTRUM.frequencies, SPECTRUM.impedances)
+    assert SPECTRUM == SPECTRUM and SPECTRUM != twin_spectrum
+    assert len({TRACES, twin_traces, SPECTRUM, twin_spectrum}) == 4
+
+
+@pytest.mark.parametrize(
+    "value",
+    [GLASS, ACTUATOR, PARAMS, DriveConfig(40.0), FitOptions(), FrictionParams(), amplification_number(GLASS, ACTUATOR)],
+    ids=lambda value: type(value).__name__,
+)
+def test_pickle_round_trip_gives_an_equal_record(value):
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and hash(copy) == hash(value) and copy is not value
