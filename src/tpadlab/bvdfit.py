@@ -10,7 +10,9 @@ cost is the sum of squared real and imaginary residual parts.  Working
 in log magnitude keeps the parallel-resonance peak (impedance orders of
 magnitude above the dip) from dominating the fit.  Minimization is a
 damped Gauss-Newton (Levenberg-Marquardt) iteration over the logarithms
-of the parameters, which enforces positivity without constraints.
+of the parameters, which enforces positivity without constraints.  It
+starts from one weighted linear least-squares solve, which the model
+admits once C0 is known (see :func:`initial_guess`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .circuit import BvdParams, impedance, resonant_frequency
 from .dataio import _read_csv_table
-from .errors import FitNotConverged, InvalidProperty, MalformedSpectrumFile, NoResonanceFound, record, require_positive
+from .errors import FitNotConverged, InvalidProperty, MalformedSpectrumFile, NoResonanceFound, record, require_positive, shown
 from .units import MAX_POINTS, csv_table
 
 MIN_POINTS = 8
@@ -125,60 +127,38 @@ def residual(params: BvdParams, spectrum: ImpedanceSpectrum, shunt_resistance: f
     return float(r @ r)
 
 
+@np.errstate(all="ignore")  # a singular solve or an overflow gives a non-finite value, which is refused
 def initial_guess(spectrum: ImpedanceSpectrum, c0: float) -> BvdParams:
-    """Starting parameters from the resonance features of the spectrum.
+    """Starting parameters from one weighted linear least-squares solve.
 
-    Raw |Z| rides on a capacitive baseline that falls ~20% across a +-10%
-    window and can bury a weak dip/peak pair, so the features are anchored
-    on Re(Z) instead: pure capacitance contributes nothing to it, while any
-    resonance produces a single positive bump spanning [f_s, f_p].  The
-    series resonance f_s is the |Z| minimum at or left of that bump and the
-    parallel resonance f_p the |Z| maximum at or right of it; then
-
-        C = C0 ((f_p/f_s)^2 - 1),    L = 1/((2 pi f_s)^2 C),
-
-    and R inverts the static-branch loading of the dip magnitude,
-    |Z(f_s)| = |X0| R / sqrt(R^2 + X0^2).  (Reading R off as |Z(f_s)|
-    directly would underestimate it several-fold once R is comparable to
-    |X0|, as it is for fingertip-loaded devices.)
+    With C0 known, the motional impedance Z_m = 1/(1/Z - jwC0) = R + j(wL - D/w), with D = 1/C, is
+    linear in R, L and D (Levy 1959; Sanathanan & Koerner 1963).  R is the weighted mean of Re Z_m,
+    and L and D solve the 2x2 normal equations of Im Z_m in the columns u = w/w_mid and -1/u.  A
+    point's weight is |d ln Z/d Z_m|^2 = |Z/Z_m^2|^2, so the solve minimizes, to first order, the log
+    residual that :func:`fit_bvd` refines.  The start has no series shunt.
 
     Raises:
-        NoResonanceFound: no resistive bump with an interior minimum/maximum
-            pair around it.
+        NoResonanceFound: L, C or R comes out not positive and finite.
     """
     require_positive(locals(), "", "c0")
-    mag = np.abs(spectrum.impedances)
-    # Box-smooth so per-point noise cannot displace the bump when damping
-    # is heavy; width 1 (no-op) for short noise-free sweeps.
-    real = np.real(spectrum.impedances)
-    kernel = np.ones(max(1, len(real) // 256))
-    coverage = np.convolve(np.ones_like(real), kernel, mode="same")
-    bump = np.convolve(real, kernel, mode="same") / coverage
-    i_bump = int(np.argmax(bump))
-    last = len(spectrum) - 1
-    # Featureless spectra (pure capacitor) have rounding-level Re(Z).
-    if not (0 < i_bump < last) or bump[i_bump] <= 1e-9 * float(mag[i_bump]):
+    w = 2.0 * np.pi * spectrum.frequencies
+    z = spectrum.impedances
+    z_m = 1.0 / (1.0 / z - 1j * w * c0)
+    weight = np.abs(z / z_m**2)
+    weight = (weight / weight.max()) ** 2  # scaled to at most 1, so that the sums below cannot overflow
+    w_mid = math.sqrt(w[0] * w[-1])
+    u, x = w / w_mid, z_m.imag
+    # [[p, -q], [-q, s]] (a, b) = (g, h) are the normal equations of Im Z_m = a u - b/u
+    p, q, s = weight @ u**2, weight.sum(), weight @ u**-2
+    g, h = weight @ (u * x), -(weight @ (x / u))
+    det = p * s - q * q
+    l = float((s * g + q * h) / det / w_mid)
+    c = float(det / ((q * g + p * h) * w_mid))
+    r = float(weight @ z_m.real / q)
+    if not all(math.isfinite(v) and v > 0 for v in (l, c, r)):
         raise NoResonanceFound(
-            "spectrum has no interior resistive bump; "
-            "widen the frequency window around the resonance"
+            f"spectrum shows no usable resonance: the linear start gives L={l:.3g} H, C={c:.3g} F, R={r:.3g} Ohm"
         )
-    i_min = int(np.argmin(mag[: i_bump + 1]))
-    i_max = i_bump + int(np.argmax(mag[i_bump:]))
-    if not (0 < i_min < last and 0 < i_max < last and i_min < i_max):
-        raise NoResonanceFound(
-            "spectrum has no interior magnitude minimum followed by a maximum; "
-            "widen the frequency window around the resonance"
-        )
-    f_s = float(spectrum.frequencies[i_min])
-    f_p = float(spectrum.frequencies[i_max])
-    c = c0 * ((f_p / f_s) ** 2 - 1.0)
-    l = 1.0 / ((2.0 * math.pi * f_s) ** 2 * c)
-    x0 = 1.0 / (2.0 * math.pi * f_s * c0)
-    z_min = float(mag[i_min])
-    if z_min < 0.999 * x0:
-        r = z_min * x0 / math.sqrt(x0 * x0 - z_min * z_min)
-    else:
-        r = z_min  # dip barely loaded; inversion ill-conditioned
     return BvdParams(inductance=l, capacitance=c, resistance=r, static_capacitance=c0)
 
 
@@ -318,11 +298,11 @@ def generate_spectrum(
     if not isinstance(seed, (int, np.integer, type(None))):
         raise InvalidProperty(f"seed must be an integer or None, got {seed!r}")
     if n_points < MIN_POINTS:
-        raise InvalidProperty(f"spectrum needs at least {MIN_POINTS} points, got {n_points}")
+        raise InvalidProperty(f"spectrum needs at least {MIN_POINTS} points, got {shown(int(n_points))}")
     if n_points > MAX_POINTS:
-        raise InvalidProperty(f"spectrum may have at most {MAX_POINTS} points, got {n_points}")
+        raise InvalidProperty(f"spectrum may have at most {MAX_POINTS} points, got {shown(int(n_points))}")
     if seed is not None and seed < 0:
-        raise InvalidProperty(f"seed must be non-negative, got {seed}")
+        raise InvalidProperty(f"seed must be non-negative, got {shown(int(seed))}")
     f_r = resonant_frequency(params)
     f_lo = f_start if f_start is not None else 0.9 * f_r
     f_hi = f_stop if f_stop is not None else 1.1 * f_r

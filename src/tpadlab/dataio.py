@@ -36,6 +36,7 @@ from .errors import (
     is_finite_real,
     record,
     require_positive,
+    shown,
 )
 from .units import LDV_KINDS
 
@@ -78,7 +79,7 @@ class TimeTraces:
         if not (is_finite_real(self.sample_rate) and 2.0 * EXPECTED_DRIVE_BAND_HZ[1] < self.sample_rate):
             raise InvalidProperty(
                 f"sample_rate must be finite and exceed {2.0 * EXPECTED_DRIVE_BAND_HZ[1]:.0f} Hz "
-                f"(twice the highest expected drive frequency), got {self.sample_rate!r}"
+                f"(twice the highest expected drive frequency), got {shown(self.sample_rate)}"
             )
         # the record's own contiguous, read-only copy of each channel
         v_piezo = np.array(self.v_piezo, dtype=float)
@@ -290,7 +291,7 @@ def _integer_period_length(traces: TimeTraces, drive_frequency: float | None) ->
         drive_frequency = detect_drive_frequency(traces)
     lo, hi = EXPECTED_DRIVE_BAND_HZ  # inside it, a valid record covers at least MIN_PERIODS periods
     if not (isinstance(drive_frequency, numbers.Real) and lo <= drive_frequency <= hi):
-        raise InvalidProperty(f"drive_frequency must be in [{lo:.0f}, {hi:.0f}] Hz, got {drive_frequency!r}")
+        raise InvalidProperty(f"drive_frequency must be in [{lo:.0f}, {hi:.0f}] Hz, got {shown(drive_frequency)}")
     periods = int(np.floor(len(traces) * drive_frequency / traces.sample_rate))
     return drive_frequency, min(len(traces), int(round(periods * traces.sample_rate / drive_frequency)))
 

@@ -100,6 +100,14 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def shown(value) -> str:
+    """``repr(value)``, or a stand-in for an int too long for Python to convert to a string."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return "an integer too long to print"
+
+
 def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False) -> None:
     """Raise InvalidProperty unless the named fields of a value record, or a mapping such as
     ``locals()``, are finite reals > 0 (or 0 too, with ``allow_zero``) and not bools.  The message
@@ -110,7 +118,7 @@ def require_positive(record, prefix: str, *fields: str, allow_zero: bool = False
         value = values[field]
         if not (is_finite_real(value) and (value >= 0 if allow_zero else value > 0)):
             rule = ">= 0" if allow_zero else "positive"
-            raise InvalidProperty(f"{prefix}{field} must be {rule} and finite, got {value!r}")
+            raise InvalidProperty(f"{prefix}{field} must be {rule} and finite, got {shown(value)}")
 
 
 def record(cls=None, *, eq: bool = True):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidProperty, OutOfContourRange, record, require_positive
+from .errors import InvalidProperty, OutOfContourRange, record, require_positive, shown
 
 ATMOSPHERIC_PRESSURE_PA = 101325.0
 
@@ -135,6 +135,6 @@ def contour_amplitude(frequency: float) -> float:
     lo, hi = CONTOUR_FREQUENCY_RANGE_HZ
     if not lo <= frequency <= hi:
         raise OutOfContourRange(
-            f"contour is defined for {lo:.0f}..{hi:.0f} Hz, got {frequency!r}"
+            f"contour is defined for {lo:.0f}..{hi:.0f} Hz, got {shown(frequency)}"
         )
     return 1.755e4 * frequency**-0.797 - 0.937

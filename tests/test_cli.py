@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpadlab import beam, cli, dataio, materials
-from tpadlab.errors import AnalysisError
+from tpadlab import beam, bvdfit, cli, dataio, materials
+from tpadlab.errors import AnalysisError, InvalidProperty
 from tpadlab.units import MAX_POINTS, csv_table
 
 FS = 300e3
@@ -403,11 +403,23 @@ def test_fit_iteration_cap_failure(run_cli):
     assert code == 3
 
 
-def test_fit_rejects_a_step_that_leaves_float_range(run_cli):
-    # trial steps from this start overflow exp(log L): they are rejected steps, not bad input
-    code, out = run_cli("fit", "--demo", "--demo-c", "1", "--demo-r", "1", "--points", "9")
+def test_fit_rejects_a_step_that_leaves_float_range(run_cli, monkeypatch):
+    # trial steps of this fit leave float range in exp(theta): they are rejected steps, not bad input
+    left_range = []
+
+    def params_from_theta(theta, c0):
+        try:
+            return params_from_theta.wrapped(theta, c0)
+        except InvalidProperty:
+            left_range.append(theta)
+            raise
+
+    params_from_theta.wrapped = bvdfit._params_from_theta
+    monkeypatch.setattr(bvdfit, "_params_from_theta", params_from_theta)
+    code, out = run_cli("fit", "--demo", "--demo-c", "1", "--demo-r", "1", "--points", "12", "--fit-c0")
     assert code == 0
     assert cells(rows(out)[1])[7] == "true"
+    assert left_range
 
 
 # fit --demo flags outside what the demo spectrum or the fit can take: one typed error, no numpy warning
@@ -423,10 +435,16 @@ FIT_DEMO_EDGES = {
         f"fit max_iterations must be positive and finite, got {10**400}",
     ),
     "negative-shunt": (("--include-shunt", "-5"), 2, "fit shunt_resistance must be >= 0 and finite, got -5.0"),
+    # |Z| is near 1e-97 Ohm, so the model with a 1e300 Ohm shunt is beyond float range of it
     "start-out-of-range": (
-        ("--c0", "1e207", "--noise", "7e93", "--points", "12", "--seed", "3"),
+        ("--demo-c", "1e91", "--demo-r", "2e-97", "--c0", "1e92", "--include-shunt", "1e300"),
         3,
         "objective is not finite at the starting point",
+    ),
+    "overdamped": (
+        ("--demo-r", "100kohm"),
+        3,
+        "spectrum shows no usable resonance: the linear start gives L=-0.0729 H, C=-4.34e-10 F, R=1.07e+04 Ohm",
     ),
 }
 
@@ -921,6 +939,8 @@ POINT_COUNTS = {
     "fit-points-401-digits": (FIT_POINTS, str(10**400), f"spectrum may have at most {MAX_POINTS} points"),
     "grid-count-bound-plus-one": (SWEEP, f"1e-4:2e-4:{MAX_POINTS + 1}", f"--grid COUNT must be at most {MAX_POINTS}"),
     "grid-count-401-digits": (SWEEP, f"1e-4:2e-4:{10**400}", f"--grid COUNT must be at most {MAX_POINTS}"),
+    # past int()'s 4300-digit limit for strings
+    "grid-count-4400-digits": (SWEEP, f"1e-4:2e-4:{'1' * 4400}", f"--grid COUNT must be at most {MAX_POINTS}"),
 }
 
 

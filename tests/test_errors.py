@@ -36,10 +36,13 @@ RECORDS = [
 ]
 # an int that no float holds: math.isfinite raises OverflowError on it
 BEYOND_FLOAT = 10**400
+# an int past Python's 4300-digit limit for int-to-string conversion: repr raises ValueError on it
+BEYOND_DIGITS = 10**5000
+LABELS = {BEYOND_FLOAT: "10**400", BEYOND_DIGITS: "10**5000", -BEYOND_DIGITS: "-10**5000"}
 
 
 def _label(value):
-    return "10**400" if value == BEYOND_FLOAT else repr(value)
+    return LABELS[value] if isinstance(value, int) and value in LABELS else repr(value)
 
 
 CASES = [
@@ -47,7 +50,7 @@ CASES = [
     for record, kwargs, prefix in RECORDS
     for field in kwargs
     if field != "name"
-    for bad in (math.inf, math.nan, "1.0", True, BEYOND_FLOAT)
+    for bad in (math.inf, math.nan, "1.0", True, BEYOND_FLOAT, BEYOND_DIGITS)
 ]
 
 
@@ -103,15 +106,15 @@ SCALAR_ARGUMENTS = {
 }
 # more values outside an argument's range: the drive band is 15-60 kHz, and counts are integers
 OUTSIDE_RANGE = {
-    "drive_frequency": (1e308, 1e3, 7e4, "30e3", BEYOND_FLOAT),
+    "drive_frequency": (1e308, 1e3, 7e4, "30e3", BEYOND_FLOAT, BEYOND_DIGITS),
     "shunt_resistance": (BEYOND_FLOAT,),
-    "sample_rate": (BEYOND_FLOAT, "300e3"),
+    "sample_rate": (BEYOND_FLOAT, BEYOND_DIGITS, "300e3"),
     "c0": (BEYOND_FLOAT,),
     "angular_frequency": (BEYOND_FLOAT,),
     "amplitude": (BEYOND_FLOAT,),
     "n_points": (8.5,),
-    "seed": (1.5,),
-    "fit max_iterations": (2.5, True, BEYOND_FLOAT),
+    "seed": (1.5, -BEYOND_DIGITS),
+    "fit max_iterations": (2.5, True, BEYOND_FLOAT, BEYOND_DIGITS),
     "axis": ("stiffness",),
 }
 SCALAR_CASES = [
@@ -127,6 +130,11 @@ def test_scalar_arguments_outside_their_range_are_invalid(name, bad):
     call(good)
     with pytest.raises(InvalidProperty, match=f"^{argument} must be "):
         call(bad)
+
+
+def test_a_point_count_too_long_to_print_is_invalid():
+    with pytest.raises(InvalidProperty, match="^spectrum may have at most .* points, got an integer too long to print$"):
+        generate_spectrum(PARAMS, n_points=BEYOND_DIGITS)
 
 
 # --- errors.record keeps what dataclass(frozen=True) gave each record ----------

@@ -101,6 +101,8 @@ def test_contour_out_of_band():
         friction.contour_amplitude(15.9e3)
     with pytest.raises(OutOfContourRange):
         friction.contour_amplitude(160.1e3)
+    with pytest.raises(OutOfContourRange, match="got an integer too long to print$"):
+        friction.contour_amplitude(10**5000)
 
 
 def test_vibration_state_invariants():
