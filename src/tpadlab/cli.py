@@ -222,8 +222,10 @@ def _parse_grid(args, parser, axis: str):
         parser.error(str(exc))
     try:
         count = int(parts[2])
-    except ValueError:  # int() refuses a run of more than 4300 digits, which is still a count past the bound
-        count = units.MAX_POINTS + 1 if parts[2].strip().isdecimal() else 0
+    except ValueError:  # int() refuses more than 4300 digits, leading zeros included
+        digits = parts[2].strip().lstrip("0") or "0"
+        short = len(digits) <= len(str(units.MAX_POINTS))
+        count = (int(digits) if short else units.MAX_POINTS + 1) if digits.isdecimal() else 0
     if count < 1:
         parser.error(f"--grid COUNT must be an integer >= 1, got {parts[2]!r}")
     if count > units.MAX_POINTS:

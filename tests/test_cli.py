@@ -406,15 +406,15 @@ def test_fit_iteration_cap_failure(run_cli):
 def test_fit_rejects_a_step_that_leaves_float_range(run_cli, monkeypatch):
     # trial steps of this fit leave float range in exp(theta): they are rejected steps, not bad input
     left_range = []
+    wrapped = bvdfit._params_from_theta
 
     def params_from_theta(theta, c0):
         try:
-            return params_from_theta.wrapped(theta, c0)
+            return wrapped(theta, c0)
         except InvalidProperty:
             left_range.append(theta)
             raise
 
-    params_from_theta.wrapped = bvdfit._params_from_theta
     monkeypatch.setattr(bvdfit, "_params_from_theta", params_from_theta)
     code, out = run_cli("fit", "--demo", "--demo-c", "1", "--demo-r", "1", "--points", "12", "--fit-c0")
     assert code == 0
@@ -435,7 +435,7 @@ FIT_DEMO_EDGES = {
         f"fit max_iterations must be positive and finite, got {10**400}",
     ),
     "negative-shunt": (("--include-shunt", "-5"), 2, "fit shunt_resistance must be >= 0 and finite, got -5.0"),
-    # |Z| is near 1e-97 Ohm, so the model with a 1e300 Ohm shunt is beyond float range of it
+    # |Z| is near 1e-97 Ohm and the start fits it, but with a 1e300 Ohm shunt the model/data ratio overflows
     "start-out-of-range": (
         ("--demo-c", "1e91", "--demo-r", "2e-97", "--c0", "1e92", "--include-shunt", "1e300"),
         3,
@@ -593,6 +593,12 @@ def test_beam_sweep_grid(run_cli):
     assert values == pytest.approx([4e-4, 5e-4, 6e-4, 7e-4, 8e-4])
     n_sq = [float(cells(line)[2]) for line in lines[1:]]
     assert all(a > b for a, b in zip(n_sq, n_sq[1:]))
+
+
+def test_beam_sweep_grid_count_past_the_int_digit_limit_by_leading_zeros(run_cli):
+    five = run_cli(*SWEEP, "0.4mm:0.8mm:5")
+    assert five[0] == 0
+    assert run_cli(*SWEEP, f"0.4mm:0.8mm:{'0' * 4400}5") == five
 
 
 def test_beam_sweep_grid_values(run_cli):
