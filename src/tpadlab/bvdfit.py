@@ -107,15 +107,21 @@ class FitOptions:
 
 
 def model_impedance(params: BvdParams, frequencies, shunt_resistance: float = 0.0):
-    """Network impedance at ``frequencies``, plus an optional series shunt."""
-    return impedance(params, frequencies) + shunt_resistance
+    """Network impedance at ``frequencies``, plus an optional series shunt, added in place."""
+    z = impedance(params, frequencies)
+    z += shunt_resistance
+    return z
 
 
 def _trial(params: BvdParams, spectrum: ImpedanceSpectrum, shunt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Model impedance Z at ``params``, and the log residual: log|Z/Z_meas|, then angle(Z/Z_meas)."""
+    """Model impedance Z at ``params``, and the log residual written in place: log|Z/Z_meas|, then angle(Z/Z_meas),
+    not interleaved as the Jacobian rows are, as the cost sums in this order and another order can flip a tied step."""
     z = model_impedance(params, spectrum.frequencies, shunt)
     ratio = z / spectrum.impedances
-    return z, np.concatenate([np.log(np.abs(ratio)), np.angle(ratio)])
+    res = np.empty(2 * ratio.size)
+    np.log(np.abs(ratio), out=res[: ratio.size])
+    np.arctan2(ratio.imag, ratio.real, out=res[ratio.size :])
+    return z, res
 
 
 def residual(params: BvdParams, spectrum: ImpedanceSpectrum, shunt_resistance: float = 0.0) -> float:
@@ -191,7 +197,7 @@ def _jacobian(params: BvdParams, z: np.ndarray, w: np.ndarray, shunt: float, fit
 
 
 def _normal_equations(rows: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J and J^T r from the Jacobian rows, as dot products of contiguous rows."""
+    """J^T J and J^T r from the Jacobian rows, as dot products of contiguous rows; ``res`` in :func:`_trial`'s layout."""
     hess = np.empty((len(rows), len(rows)))
     for i in range(len(rows)):
         for j in range(i + 1):

@@ -111,17 +111,24 @@ def impedance(p: BvdParams, frequency) -> complex:
         Z = [X0^2 R + j X0 (R^2 + X0 X1 + X1^2)] / [R^2 + (X0 + X1)^2]
 
     with signed X0 = -1/(C0 w).  A frequency whose terms leave float
-    range gives ``inf`` or ``nan`` without a numpy warning.
+    range gives ``inf`` or ``nan`` without a numpy warning.  Each part
+    is written in place as its numerator times 1/den, the products of
+    numpy's complex-by-real division, so finite values match it bit
+    for bit.  A scalar gives a ``complex``; an array keeps its shape.
     """
     import numpy as np
 
+    f = np.array(frequency, dtype=float, ndmin=1)  # out= refuses a 0-d result
     with np.errstate(all="ignore"):
-        w = 2.0 * np.pi * np.asarray(frequency, dtype=float)
+        w = 2.0 * np.pi * f
         x0 = -1.0 / (p.static_capacitance * w)
         x1 = p.inductance * w - 1.0 / (p.capacitance * w)
         r = p.resistance
-        den = r * r + (x0 + x1) ** 2
-        z = (x0 * x0 * r + 1j * x0 * (r * r + x0 * x1 + x1 * x1)) / den
+        inv_den = 1.0 / (r * r + (x0 + x1) ** 2)
+        z = np.empty(f.shape, complex)
+        np.multiply(x0 * x0 * r, inv_den, out=z.real)
+        np.multiply(x0 * (r * r + x0 * x1 + x1 * x1), inv_den, out=z.imag)
+    z = z.reshape(np.shape(frequency))
     return complex(z) if np.isscalar(frequency) else z
 
 
