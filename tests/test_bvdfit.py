@@ -158,6 +158,21 @@ def test_residual_grows_with_perturbed_damping():
     assert bvdfit.residual(bumped, spectrum) > bvdfit.residual(truth, spectrum)
 
 
+@pytest.mark.parametrize("shunt", [0.0, 100.0])
+def test_trial_residual_is_log_magnitudes_then_angles(shunt):
+    truth = params_for(30e3, 2150.0, 1e-9)
+    spectrum = bvdfit.generate_spectrum(truth, n_points=201, noise=0.01, seed=3, shunt_resistance=shunt)
+    params = BvdParams(truth.inductance * 1.01, truth.capacitance, truth.resistance * 0.9, C0)
+    z, res = bvdfit._trial(params, spectrum, shunt)
+    ratio = bvdfit.model_impedance(params, spectrum.frequencies, shunt) / spectrum.impedances
+    assert np.array_equal(z, bvdfit.model_impedance(params, spectrum.frequencies, shunt))
+    assert np.array_equal(res, np.concatenate([np.log(np.abs(ratio)), np.angle(ratio)]))
+    # BLAS sums a dot product in k blocked accumulators, so n = 402 positive terms are off by at most about
+    # (n/k + log2(k) + 1) eps/2: 3.6e-15 for OpenBLAS's k = 16, and below 1e-14 for any k >= 8
+    squares = np.log(np.abs(ratio)) ** 2 + np.angle(ratio) ** 2
+    assert bvdfit.residual(params, spectrum, shunt) == pytest.approx(math.fsum(squares), rel=1e-14, abs=0)
+
+
 def test_iteration_cap_reports_best_effort():
     truth = params_for(30e3, 2150.0, 1e-9)
     spectrum = bvdfit.generate_spectrum(truth, n_points=201, noise=0.01, seed=1)

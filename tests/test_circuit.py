@@ -75,6 +75,77 @@ def test_impedance_equals_the_brute_force_network(l, c, r, c0, f):
     assert abs(z_closed - z_brute) <= 1e-12 * abs(z_brute)
 
 
+def one_line_impedance(p, frequency):
+    """The closed form as one complex expression, divided by its real denominator: the reference route."""
+    with np.errstate(all="ignore"):
+        w = 2.0 * np.pi * np.asarray(frequency, dtype=float)
+        x0 = -1.0 / (p.static_capacitance * w)
+        x1 = p.inductance * w - 1.0 / (p.capacitance * w)
+        r = p.resistance
+        return (x0 * x0 * r + 1j * x0 * (r * r + x0 * x1 + x1 * x1)) / (r * r + (x0 + x1) ** 2)
+
+
+def assert_same_bits(z, reference):
+    """Equal bit for bit, signed zeros included; raveled, as a 0-d array has no float view."""
+    assert np.array_equal(np.ravel(z).view(float), np.ravel(reference).view(float))
+
+
+@settings(max_examples=200)
+@given(
+    f_r=st.floats(20e3, 45e3),
+    r=st.floats(500.0, 3000.0),
+    c=st.floats(50e-12, 200e-12),
+    span=st.tuples(st.floats(0.5, 1.0), st.floats(1.0, 2.0)),
+    n=st.integers(1, 700),
+)
+def test_impedance_is_the_one_line_form_bit_for_bit_over_the_c05_box(f_r, r, c, span, n):
+    p = circuit.BvdParams(1.0 / ((2.0 * math.pi * f_r) ** 2 * c), c, r, C0)
+    freqs = np.linspace(span[0] * f_r, span[1] * f_r, n)
+    assert_same_bits(circuit.impedance(p, freqs), one_line_impedance(p, freqs))
+
+
+DEMO_F_R = circuit.resonant_frequency(finger_params())
+
+
+@pytest.mark.parametrize(
+    "p,freqs",
+    [
+        (circuit.BvdParams(28.1e-3, 1e-9, 2150.0, C0), np.array([30e3])),  # circuit_freq.stdout
+        # fit --demo's truth over its spectrum's points, as generate_spectrum lays them out
+        (finger_params(), np.linspace(0.9 * DEMO_F_R, 1.1 * DEMO_F_R, 201)),
+    ],
+    ids=["circuit-freq", "fit-demo"],
+)
+def test_impedance_is_the_one_line_form_bit_for_bit_at_the_golden_parameters(p, freqs):
+    assert_same_bits(circuit.impedance(p, freqs), one_line_impedance(p, freqs))
+
+
+@settings(max_examples=500)
+@given(l=LOG_UNIFORM, c=LOG_UNIFORM, r=LOG_UNIFORM, c0=LOG_UNIFORM, f=st.lists(LOG_UNIFORM, min_size=1, max_size=8))
+def test_impedance_equals_the_one_line_form_across_float_range(l, c, r, c0, f):
+    # a part that leaves float range can turn the other part of the division's result into nan, not 0 as here,
+    # so only whole values are compared; == also lets the sign of an underflowed x0*x0*r differ
+    p = circuit.BvdParams(l, c, r, c0)
+    z, reference = circuit.impedance(p, np.array(f)), one_line_impedance(p, np.array(f))
+    finite = np.isfinite(reference)
+    assert np.array_equal(np.isfinite(z), finite)
+    assert np.all(z[finite] == reference[finite])
+
+
+@pytest.mark.parametrize(
+    "frequency",
+    [30e3, 30000, np.float64(30e3), np.array(30e3), [30e3, 31e3], np.full((2, 3), 30e3)],
+    ids=["float", "int", "numpy-scalar", "0-d", "list", "2-d"],
+)
+def test_impedance_keeps_the_shape_of_its_frequency(frequency):
+    z = circuit.impedance(finger_params(), frequency)
+    if np.isscalar(frequency):
+        assert type(z) is complex
+    else:
+        assert isinstance(z, np.ndarray) and z.dtype == complex and z.shape == np.shape(frequency)
+    assert_same_bits(z, one_line_impedance(finger_params(), frequency))
+
+
 def test_motional_reactance_vanishes_at_resonance():
     p = finger_params()
     f_r = circuit.resonant_frequency(p)
